@@ -5,7 +5,8 @@
 import numpy as np
 
 from glvq import FitConfig, fit_group, reconstruct, rtn_quantize
-from glvq.synthetic import make_group, output_mse
+from glvq.pipeline import metrics
+from glvq.synthetic import make_group
 
 # A heavy-tailed group with correlated length-8 blocks, plus calibration.
 w, x = make_group(seed=3, source="student_t", dim=8)
@@ -23,12 +24,13 @@ print("monotone loss trace:", bool(np.all(np.diff(h) <= 0)))
 
 # Compare against plain round-to-nearest at the same 2 bits per weight.
 w_hat = reconstruct(codes, codec)
-print("\noutput-space mse, lattice codec:", round(output_mse(w, w_hat, x), 2))
+print("\noutput-space mse, lattice codec:",
+      round(metrics(w, w_hat, x)["output_mse"], 2))
 print("output-space mse, rtn baseline :",
-      round(output_mse(w, rtn_quantize(w, 2), x), 2))
+      round(metrics(w, rtn_quantize(w, 2), x)["output_mse"], 2))
 
 # Freezing the basis at a scaled identity shows what the learning buys.
 fixed, fixed_codes, _ = fit_group(w, x, dim=8, bits=2,
                                   config=FitConfig(fixed_basis=True))
 print("output-space mse, fixed identity basis:",
-      round(output_mse(w, reconstruct(fixed_codes, fixed), x), 2))
+      round(metrics(w, reconstruct(fixed_codes, fixed), x)["output_mse"], 2))

@@ -8,38 +8,26 @@ Library layout:
 - ``bitalloc``: salience scores, KL objective, balanced bit allocation
 - ``codebook``: per-group codec fitting, RTN and greedy baselines
 - ``container``: tensor files, packed codes, the .glvq archive
-- ``pipeline``: layer-level quantize / dequantize / evaluate
+- ``pipeline``: the run config, layer-level quantize, error metrics
 - ``synthetic``: pinned synthetic suite and paired ablations
 - ``cli``: the ``glvq`` command-line entry point
 """
 
-from .bitalloc import (BitAllocation, SalienceScores, allocate_bits,
-                       compute_salience, kl_objective)
-from .codebook import (FitConfig, FitReport, GroupCodec, fit_group,
-                       gcd_quantize_columns, grad_basis, grad_mu, group_loss,
-                       init_codec, quantize_columns, reconstruct,
-                       reshape_group, rtn_quantize, spectral_normalize,
-                       unreshape_group)
-from .companding import compand, expand, grad, init_mu, kurtosis
-from .container import (GlvqArchive, overhead_report, pack_codes,
-                        read_archive, read_tensor_file, unpack_codes,
-                        write_archive, write_tensor_file)
-from .lattice import (BabaiBound, GramSchmidtBasis, SingularBasisError,
-                      babai_error_bound, babai_round, decode, exact_cvp,
+from .bitalloc import allocate_bits, compute_salience, kl_objective
+from .codebook import FitConfig, fit_group, reconstruct, rtn_quantize
+from .companding import compand, expand, init_mu, kurtosis
+from .container import overhead_report, pack_codes, read_archive, write_archive
+from .lattice import (babai_error_bound, babai_round, decode, exact_cvp,
                       gram_schmidt, lll_reduce)
 from .pipeline import RunConfig, evaluate, quantize_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BabaiBound", "BitAllocation", "FitConfig", "FitReport", "GlvqArchive",
-    "GramSchmidtBasis", "GroupCodec", "RunConfig", "SalienceScores",
-    "SingularBasisError", "allocate_bits", "babai_error_bound", "babai_round",
-    "compand", "compute_salience", "decode", "evaluate", "exact_cvp",
-    "expand", "fit_group", "gcd_quantize_columns", "grad", "grad_basis",
-    "grad_mu", "gram_schmidt", "group_loss", "init_codec", "init_mu",
+    "FitConfig", "RunConfig", "allocate_bits", "babai_error_bound",
+    "babai_round", "compand", "compute_salience", "decode", "evaluate",
+    "exact_cvp", "expand", "fit_group", "gram_schmidt", "init_mu",
     "kl_objective", "kurtosis", "lll_reduce", "overhead_report", "pack_codes",
-    "quantize_columns", "quantize_matrix", "read_archive", "read_tensor_file",
-    "reconstruct", "reshape_group", "rtn_quantize", "spectral_normalize",
-    "unpack_codes", "unreshape_group", "write_archive", "write_tensor_file",
+    "quantize_matrix", "read_archive", "reconstruct", "rtn_quantize",
+    "write_archive",
 ]

@@ -1,9 +1,10 @@
 """Command-line driver: quantize, dequantize, eval, ablate, overhead.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error (missing or
-malformed inputs, shape mismatches), 4 internal error.  Output files are
+Exit codes: 0 success, 2 usage/config error, 3 data error (missing,
+malformed or non-finite inputs, shape mismatches, weights whose side
+information fp16 cannot hold), 4 internal error.  Output files are
 written atomically; report files never contain wall-clock times, so
-identical configurations and seeds produce byte-identical outputs.
+identical configurations produce byte-identical outputs.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import container, pipeline, synthetic
+from . import codebook, container, pipeline, synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -28,11 +29,14 @@ class DataError(Exception):
 
 def _load_tensor(path):
     try:
-        return container.read_tensor_file(path)
+        tensor = container.read_tensor_file(path)
     except FileNotFoundError as e:
         raise DataError(f"cannot read tensor {path}: {e}") from e
     except (container.TensorFormatError, ValueError) as e:
         raise DataError(f"bad tensor file {path}: {e}") from e
+    if not np.all(np.isfinite(tensor)):
+        raise DataError(f"tensor {path} has non-finite entries")
+    return tensor
 
 
 def _load_archive(path):
@@ -60,14 +64,46 @@ def _write_csv(path, rows, fieldnames):
         sys.stdout.write(data.decode())
 
 
+# (flag, RunConfig field, extra argparse keywords), one row per run
+# setting.  Defaults, types and boolean actions come from RunConfig.
+_RUN_FLAGS = (
+    ("--dim", "dim", {"help": "lattice dimension d"}),
+    ("--bits", "bits",
+     {"help": "target mean bits per weight (may be fractional)"}),
+    ("--group-width", "group_width", {"help": "columns per group"}),
+    ("--no-bit-alloc", "bit_alloc",
+     {"help": "uniform bit-widths instead of salience allocation"}),
+    ("--no-companding", "companding", {"help": "disable the mu-law stage"}),
+    ("--fixed-basis", "fixed_basis",
+     {"help": "keep a scaled identity basis instead of learning one"}),
+    ("--rounding", "rounding", {"choices": ("babai", "gcd")}),
+    ("--eta-basis", "eta_basis", {}),
+    ("--eta-mu", "eta_mu", {}),
+    ("--tol", "tol", {}),
+    ("--max-iters", "max_iters", {}),
+    ("--lam", "lam", {}),
+    ("--sigma-min", "sigma_min", {}),
+    ("--sigma-max", "sigma_max", {}),
+)
+
+
+def _add_run_flags(p, names=None):
+    """Add the _RUN_FLAGS rows whose field is in ``names`` (default: all)."""
+    defaults = pipeline.RunConfig()
+    for flag, name, extra in _RUN_FLAGS:
+        if names is not None and name not in names:
+            continue
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            kind = {"action": "store_false" if default else "store_true"}
+        else:
+            kind = {"type": type(default)}
+        p.add_argument(flag, dest=name, default=default, **kind, **extra)
+
+
 def _run_config(args) -> pipeline.RunConfig:
     cfg = pipeline.RunConfig(
-        dim=args.dim, bits=args.bits, group_width=args.group_width,
-        eta_basis=args.eta_basis, eta_mu=args.eta_mu, tol=args.tol,
-        max_iters=args.max_iters, lam=args.lam, sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max, companding=not args.no_companding,
-        bit_alloc=not args.no_bit_alloc, fixed_basis=args.fixed_basis,
-        rounding=args.rounding, seed=args.seed)
+        **{name: getattr(args, name) for _, name, _ in _RUN_FLAGS})
     cfg.validate()
     return cfg
 
@@ -82,7 +118,10 @@ def cmd_quantize(args) -> int:
             f"weight columns {weights.shape[1]}")
     start = time.perf_counter()
     result = pipeline.quantize_matrix(weights, calib, cfg)
-    archive_data = result.archive_bytes()
+    try:
+        archive_data = result.archive_bytes()
+    except container.ArchiveError as e:
+        raise DataError(str(e)) from e
     elapsed = time.perf_counter() - start
     container.atomic_write_bytes(args.out, archive_data)
 
@@ -138,9 +177,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     if abs(args.bits - round(args.bits)) > 1e-9:
         raise ValueError("ablation presets use integer bit-widths")
-    from .codebook import FitConfig
-
-    cfg = FitConfig(max_iters=args.max_iters, tol=args.tol)
+    cfg = codebook.FitConfig(max_iters=args.max_iters, tol=args.tol)
     rows, summaries = synthetic.run_ablation(
         args.preset, seeds=args.seeds, source=args.source, dim=args.dim,
         bits=int(round(args.bits)), base_seed=args.seed, config=cfg)
@@ -184,29 +221,6 @@ def cmd_overhead(args) -> int:
     return EXIT_OK
 
 
-def _add_run_flags(p):
-    p.add_argument("--dim", type=int, default=8, help="lattice dimension d")
-    p.add_argument("--bits", type=float, default=2.0,
-                   help="target mean bits per weight (may be fractional)")
-    p.add_argument("--group-width", type=int, default=128,
-                   help="columns per group")
-    p.add_argument("--no-bit-alloc", action="store_true",
-                   help="uniform bit-widths instead of salience allocation")
-    p.add_argument("--no-companding", action="store_true",
-                   help="disable the mu-law stage")
-    p.add_argument("--fixed-basis", action="store_true",
-                   help="keep a scaled identity basis instead of learning one")
-    p.add_argument("--rounding", choices=("babai", "gcd"), default="babai")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta-basis", type=float, default=1e-3)
-    p.add_argument("--eta-mu", type=float, default=1e-1)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--lam", type=float, default=0.1)
-    p.add_argument("--sigma-min", type=float, default=1e-2)
-    p.add_argument("--sigma-max", type=float, default=10.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glvq",
@@ -237,11 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=synthetic.PRESETS)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--source", choices=synthetic.SOURCES, default="student_t")
-    p.add_argument("--dim", type=int, default=8)
+    _add_run_flags(p, ("dim", "max_iters", "tol"))
     p.add_argument("--bits", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_ablate)
 

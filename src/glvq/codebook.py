@@ -57,7 +57,6 @@ class FitConfig:
     companding: bool = True
     fixed_basis: bool = False
     rounding: str = "babai"  # "babai" | "gcd"
-    gcd_sweeps: int = 1
 
 
 @dataclass
@@ -272,10 +271,41 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
 
 def _quantize(latent, codec, cfg: FitConfig):
     if cfg.rounding == "gcd":
-        return gcd_quantize_columns(latent, codec, cfg.gcd_sweeps)
+        return gcd_quantize_columns(latent, codec)
     if cfg.rounding == "babai":
         return quantize_columns(latent, codec)
     raise ValueError(f"unknown rounding mode {cfg.rounding!r}")
+
+
+@dataclass
+class _StepSize:
+    """Backtracking state of one learned parameter's step size."""
+
+    eta: float
+    eta_max: float
+    streak: int = 0
+
+    @property
+    def stalled(self) -> bool:
+        return self.eta <= self.eta_max * 1e-15
+
+
+def _line_search(step, size: _StepSize, loss, propose):
+    """Backtracking line search: halve ``size.eta`` until the proposal
+    ``propose(step(eta))`` does not raise ``loss``, and double it back
+    toward ``eta_max`` after 5 consecutive accepts.  Returns the accepted
+    proposal, or None once the step size stalls."""
+    while not size.stalled:
+        found = propose(step(size.eta))
+        if found[2] <= loss:
+            size.streak += 1
+            if size.streak >= 5:
+                size.eta = min(size.eta * 2.0, size.eta_max)
+                size.streak = 0
+            return found
+        size.eta *= 0.5
+        size.streak = 0
+    return None
 
 
 def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = None,
@@ -284,10 +314,11 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
 
     Proposals (gradient step, spectral normalization, mu projection, code
     refresh) are accepted only if the loss does not increase; on a
-    rejection both step sizes are halved, and after 5 consecutive accepts
-    they are doubled back toward their defaults.  Stops when the relative
-    loss change of an accepted step falls below ``tol`` or after
-    ``max_iters`` proposals.  Returns (codec, codes, FitReport).
+    rejection the parameter's step size is halved, and after 5
+    consecutive accepts it is doubled back toward its default.  Stops
+    when the relative loss change of an iteration falls below ``tol``,
+    when no step is accepted, or after ``max_iters`` iterations.  Returns
+    (codec, codes, FitReport).
     """
     cfg = config or FitConfig()
     w = np.asarray(weights, dtype=float)
@@ -307,75 +338,41 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     codes = _quantize(_latent_of(w, codec), codec, cfg)
     loss, g_b, g_m = _loss_and_grads(w, x, codec, codes, basis_init, cfg.lam, wx)
     history = [loss]
-    eta_b, eta_m = cfg.eta_basis, cfg.eta_mu
-    streak_b = streak_m = 0
-    converged = False
-    iterations = 0
-    update_basis = not cfg.fixed_basis
-    update_mu = cfg.companding and codec.mu > 0.0
-    eta_floor_b = cfg.eta_basis * 1e-15
-    eta_floor_m = cfg.eta_mu * 1e-15
 
     def propose(cand):
         cand_codes = _quantize(_latent_of(w, cand), cand, cfg)
-        cand_loss, cand_gb, cand_gm = _loss_and_grads(
+        return (cand, cand_codes) + _loss_and_grads(
             w, x, cand, cand_codes, basis_init, cfg.lam, wx)
-        return cand, cand_codes, cand_loss, cand_gb, cand_gm
 
+    def basis_step(eta):
+        return replace(codec, basis=spectral_normalize(
+            codec.basis - eta * g_b, cfg.sigma_min, cfg.sigma_max))
+
+    def mu_step(eta):
+        return replace(codec, mu=float(np.clip(
+            codec.mu - eta * g_m, companding.MU_MIN, companding.MU_MAX)))
+
+    # (step, step size) per learned parameter, searched in this order
+    searches = []
+    if not cfg.fixed_basis:
+        searches.append((basis_step, _StepSize(cfg.eta_basis, cfg.eta_basis)))
+    if cfg.companding and codec.mu > 0.0:
+        searches.append((mu_step, _StepSize(cfg.eta_mu, cfg.eta_mu)))
+
+    converged = False
+    iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
         loss_start = loss
         accepted_any = False
-
-        if update_basis:
-            # backtracking line search: halve until the step stops hurting
-            while eta_b > eta_floor_b:
-                new_basis = spectral_normalize(codec.basis - eta_b * g_b,
-                                               cfg.sigma_min, cfg.sigma_max)
-                cand, c_codes, c_loss, c_gb, c_gm = propose(
-                    replace(codec, basis=new_basis))
-                if c_loss <= loss:
-                    codec, codes, loss = cand, c_codes, c_loss
-                    g_b, g_m = c_gb, c_gm
-                    history.append(loss)
-                    accepted_any = True
-                    streak_b += 1
-                    if streak_b >= 5:
-                        eta_b = min(eta_b * 2.0, cfg.eta_basis)
-                        streak_b = 0
-                    break
-                eta_b *= 0.5
-                streak_b = 0
-
-        if update_mu:
-            while eta_m > eta_floor_m:
-                new_mu = float(np.clip(codec.mu - eta_m * g_m,
-                                       companding.MU_MIN, companding.MU_MAX))
-                cand, c_codes, c_loss, c_gb, c_gm = propose(
-                    replace(codec, mu=new_mu))
-                if c_loss <= loss:
-                    codec, codes, loss = cand, c_codes, c_loss
-                    g_b, g_m = c_gb, c_gm
-                    history.append(loss)
-                    accepted_any = True
-                    streak_m += 1
-                    if streak_m >= 5:
-                        eta_m = min(eta_m * 2.0, cfg.eta_mu)
-                        streak_m = 0
-                    break
-                eta_m *= 0.5
-                streak_m = 0
-
-        stalled_b = (not update_basis) or eta_b <= eta_floor_b
-        stalled_m = (not update_mu) or eta_m <= eta_floor_m
-        if stalled_b and stalled_m:
-            converged = True
-            break
-        if accepted_any or (stalled_b and stalled_m):
-            if abs(loss - loss_start) / max(loss_start, 1e-30) < cfg.tol:
-                converged = True
-                break
-        if not accepted_any:
+        for step, size in searches:
+            found = _line_search(step, size, loss, propose)
+            if found is not None:
+                codec, codes, loss, g_b, g_m = found
+                history.append(loss)
+                accepted_any = True
+        if (not accepted_any or all(size.stalled for _, size in searches)
+                or abs(loss - loss_start) / max(loss_start, 1e-30) < cfg.tol):
             converged = True
             break
 

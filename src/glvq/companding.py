@@ -89,18 +89,6 @@ def expand_grad(y, mu):
     return float(didy), float(didmu)
 
 
-def grad(x, mu):
-    """All four transform derivatives at a point.
-
-    Returns (dF/dx, dF/dmu, dF_inv/dy, dF_inv/dmu) where the inverse
-    derivatives are evaluated at y = compand(x, mu).
-    """
-    dfdx, dfdmu = compand_grad(x, mu)
-    y = compand(x, mu)
-    didy, didmu = expand_grad(y, mu)
-    return dfdx, dfdmu, didy, didmu
-
-
 def kurtosis(sample, excess: bool = True) -> float:
     """Sample kurtosis m4 / m2^2 from biased central moments.
 

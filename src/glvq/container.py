@@ -18,7 +18,8 @@ Archive layout (".glvq", all multi-byte integers little-endian):
 Codes are stored column-major as unsigned offsets u = z + 2^(bits-1),
 packed LSB-first within each byte; the final partial byte is zero
 padded.  Side information is rounded to IEEE binary16 (nearest-even);
-codes round-trip bit exactly.
+a scale outside binary16's normal range, or a basis entry beyond its
+maximum, is rejected at write time.  Codes round-trip bit exactly.
 """
 
 import json
@@ -33,6 +34,8 @@ from .codebook import GroupCodec, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
+_FP16_MAX = float(np.finfo(np.float16).max)  # 65504
+_FP16_MIN_NORMAL = float(np.finfo(np.float16).tiny)  # 2^-14
 
 _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<IIHBHee")
@@ -40,7 +43,7 @@ _PAYLEN = struct.Struct("<Q")
 
 
 class ArchiveError(ValueError):
-    """Malformed archive bytes."""
+    """Malformed archive bytes, or side information the format cannot hold."""
 
 
 class BadMagicError(ArchiveError):
@@ -144,7 +147,8 @@ def write_archive(records) -> bytes:
     """Serialize (codec, codes) pairs; deterministic for equal inputs."""
     records = list(records)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, len(records)))
-    for codec, codes in records:
+    for idx, (codec, codes) in enumerate(records):
+        _check_side_info(idx, codec)
         payload = pack_codes(codes, codec.bits)
         out += _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits,
                             codec.pad, float(codec.scale), float(codec.mu))
@@ -152,6 +156,20 @@ def write_archive(records) -> bytes:
         out += _PAYLEN.pack(len(payload))
         out += payload
     return bytes(out)
+
+
+def _check_side_info(idx: int, codec: GroupCodec) -> None:
+    """Reject side info that binary16 cannot hold faithfully.  The scale
+    (a group's max |w|) must be a normal binary16 number: below that range
+    it loses relative precision and below 2^-24 it rounds to 0, so the
+    group would decode to zeros; above 65504 it overflows."""
+    if not _FP16_MIN_NORMAL <= codec.scale <= _FP16_MAX:
+        raise ArchiveError(
+            f"group {idx}: scale {codec.scale:g} (max |w| of the group) lies "
+            f"outside the fp16 range [{_FP16_MIN_NORMAL:g}, {_FP16_MAX:g}]")
+    if np.abs(codec.basis).max() > _FP16_MAX:
+        raise ArchiveError(
+            f"group {idx}: a basis entry exceeds the fp16 maximum {_FP16_MAX:g}")
 
 
 def read_archive(data: bytes) -> GlvqArchive:

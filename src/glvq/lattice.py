@@ -47,7 +47,7 @@ class BabaiBound:
 def check_basis(basis) -> np.ndarray:
     """Validate a square, finite, full-rank generation matrix.
 
-    Full rank means |det G| > RANK_TOL * sigma_max(G)^d.  Returns the
+    Full rank means sigma_min(G) > RANK_TOL * sigma_max(G).  Returns the
     matrix as a float64 array.
     """
     b = np.asarray(basis, dtype=float)
@@ -55,9 +55,8 @@ def check_basis(basis) -> np.ndarray:
         raise ValueError(f"generation matrix must be square, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("generation matrix has non-finite entries")
-    d = b.shape[0]
-    smax = float(np.linalg.norm(b, 2))
-    if smax == 0.0 or abs(float(np.linalg.det(b))) <= RANK_TOL * smax**d:
+    s = np.linalg.svd(b, compute_uv=False)
+    if not s[-1] > RANK_TOL * s[0]:
         raise SingularBasisError("generation matrix is singular or nearly so")
     return b
 

@@ -14,24 +14,14 @@ from . import bitalloc, codebook, container
 
 
 @dataclass
-class RunConfig:
-    """Everything a quantization run needs besides the tensors."""
+class RunConfig(codebook.FitConfig):
+    """Everything a quantization run needs besides the tensors: the
+    optimizer settings of every group's fit plus the layer-level ones."""
 
     dim: int = 8
     bits: float = 2.0
     group_width: int = 128
-    eta_basis: float = 1e-3
-    eta_mu: float = 1e-1
-    tol: float = 1e-4
-    max_iters: int = 200
-    lam: float = 0.1
-    sigma_min: float = 1e-2
-    sigma_max: float = 10.0
-    companding: bool = True
     bit_alloc: bool = True
-    fixed_basis: bool = False
-    rounding: str = "babai"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -51,13 +41,6 @@ class RunConfig:
             raise ValueError("lam must be >= 0")
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
-
-    def fit_config(self) -> codebook.FitConfig:
-        return codebook.FitConfig(
-            eta_basis=self.eta_basis, eta_mu=self.eta_mu, tol=self.tol,
-            max_iters=self.max_iters, lam=self.lam, sigma_min=self.sigma_min,
-            sigma_max=self.sigma_max, companding=self.companding,
-            fixed_basis=self.fixed_basis, rounding=self.rounding)
 
 
 @dataclass
@@ -126,23 +109,30 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
                 "fractional bit targets need bit allocation over >= 2 groups")
         bits = np.full(n_groups, int(round(config.bits)), dtype=np.int64)
 
-    fit_cfg = config.fit_config()
     records, reports = [], []
     for (a, b), g, bg in zip(spans, groups, bits):
         codec, codes, report = codebook.fit_group(
-            g, x[a:b, :], dim=config.dim, bits=int(bg), config=fit_cfg)
+            g, x[a:b, :], dim=config.dim, bits=int(bg), config=config)
         records.append((codec, codes))
         reports.append(report)
     return QuantizeResult(records=records, spans=spans, bits=np.asarray(bits),
                           allocation=allocation, reports=reports)
 
 
-def dequantize_records(records) -> np.ndarray:
-    """Decode (codec, codes) records and concatenate along columns."""
-    parts = [codebook.reconstruct(codes, codec) for codec, codes in records]
-    if not parts:
-        return np.zeros((0, 0))
-    return np.hstack(parts)
+def metrics(weights, w_hat, calib) -> dict:
+    """Weight-space MSE, output-space MSE and output KL of a
+    reconstruction ``w_hat`` of ``weights`` under calibration ``calib``."""
+    m = weights.shape[0]
+    t = calib.shape[1]
+    dw = w_hat - weights
+    out_ref = weights @ calib
+    out_hat = w_hat @ calib
+    dout = out_hat - out_ref
+    return {
+        "weight_mse": float((dw * dw).mean()),
+        "output_mse": float((dout * dout).sum() / (m * t)),
+        "kl": bitalloc.kl_objective(out_ref, out_hat),
+    }
 
 
 def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
@@ -155,20 +145,12 @@ def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
     if w.shape[1] != x.shape[0]:
         raise ValueError(
             f"calib feature dim {x.shape[0]} does not match weight columns {w.shape[1]}")
-    m, _ = w.shape
-    t = x.shape[1]
-    dw = w_hat - w
-    out_ref = w @ x
-    out_hat = w_hat @ x
-    dout = out_hat - out_ref
     total_weights = sum(g.codec.rows * g.codec.cols for g in archive)
     code_bits = sum(g.codec.bits * g.codec.rows * g.codec.cols for g in archive)
     side_bits = sum(16 * g.codec.dim**2 + 16 for g in archive)  # bits
     side_actual = sum(container.record_side_bytes(g.codec.dim) for g in archive)
     return {
-        "weight_mse": float((dw * dw).mean()),
-        "output_mse": float((dout * dout).sum() / (m * t)),
-        "kl": bitalloc.kl_objective(out_ref, out_hat),
+        **metrics(w, w_hat, x),
         "bits_per_weight": code_bits / total_weights,
         "overhead_pct": 100.0 * side_bits / code_bits,
         "actual_side_bytes": side_actual,

@@ -9,12 +9,13 @@ direction with a one-sided sign test.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import bitalloc, codebook
+from . import codebook, pipeline
 from .codebook import FitConfig, unreshape_group
+from .container import overhead_report
 
 SUITE_ROWS = 256
 SUITE_GROUP_COLS = 64
@@ -23,6 +24,14 @@ SUITE_MIXING = 0.5
 SOURCES = ("gaussian", "laplacian", "student_t")
 PRESETS = ("bit-alloc", "lattice", "companding", "group-size", "rounding")
 GROUP_SIZE_WIDTHS = (32, 64, 128, 256, 512)
+# Presets that fit one group per arm: (arm, FitConfig override) pairs, the
+# first arm being the one expected to score lower.
+_FIT_ARMS = {
+    "lattice": (("learned", {"fixed_basis": False}),
+                ("fixed_identity", {"fixed_basis": True})),
+    "companding": (("companding_on", {"companding": True}),
+                   ("companding_off", {"companding": False})),
+}
 
 
 def sample_source(rng, source: str, size):
@@ -73,36 +82,20 @@ def sign_test_pvalue(wins: int, n: int) -> float:
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0**n
 
 
-def output_mse(weights, w_hat, calib) -> float:
-    d = (w_hat - weights) @ calib
-    return float((d * d).sum() / (weights.shape[0] * calib.shape[1]))
+def _score(weights, w_hat, calib, iterations, converged, final_loss) -> dict:
+    return {**pipeline.metrics(weights, w_hat, calib), "iterations": iterations,
+            "converged": converged, "final_loss": final_loss}
 
 
 def fit_and_score(weights, calib, *, dim: int, bits: int, cfg: FitConfig) -> dict:
     codec, codes, report = codebook.fit_group(weights, calib, dim, bits, cfg)
-    w_hat = codebook.reconstruct(codes, codec)
-    ref = weights @ calib
-    return {
-        "weight_mse": float(((w_hat - weights) ** 2).mean()),
-        "output_mse": output_mse(weights, w_hat, calib),
-        "kl": bitalloc.kl_objective(ref, w_hat @ calib),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "final_loss": report.final_loss,
-    }
+    return _score(weights, codebook.reconstruct(codes, codec), calib,
+                  report.iterations, report.converged, report.final_loss)
 
 
 def rtn_score(weights, calib, bits: int) -> dict:
-    w_hat = codebook.rtn_quantize(weights, bits)
-    ref = weights @ calib
-    return {
-        "weight_mse": float(((w_hat - weights) ** 2).mean()),
-        "output_mse": output_mse(weights, w_hat, calib),
-        "kl": bitalloc.kl_objective(ref, w_hat @ calib),
-        "iterations": 0,
-        "converged": True,
-        "final_loss": float("nan"),
-    }
+    return _score(weights, codebook.rtn_quantize(weights, bits), calib,
+                  0, True, float("nan"))
 
 
 def _summarize(rows, preset: str, arm_a: str, arm_b: str, metric: str):
@@ -127,12 +120,9 @@ def _summarize(rows, preset: str, arm_a: str, arm_b: str, metric: str):
     }
 
 
-def _row(preset, seed, arm, score, bits, extra=None):
-    row = {"preset": preset, "seed": seed, "arm": arm, "mean_bits": bits}
-    row.update(score)
-    if extra:
-        row.update(extra)
-    return row
+def _row(preset, seed, arm, score, bits):
+    return {"preset": preset, "seed": seed, "arm": arm, "mean_bits": bits,
+            **score}
 
 
 def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
@@ -156,76 +146,50 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
             codec, codes_babai, report = codebook.fit_group(w, x, dim, bits, cfg)
             latent = codebook._latent_of(w, codec)
             codes_gcd = codebook.gcd_quantize_columns(latent, codec, 1)
-            ref = w @ x
             for arm, codes in (("babai", codes_babai), ("gcd", codes_gcd)):
-                w_hat = codebook.reconstruct(codes, codec)
-                score = {
-                    "weight_mse": float(((w_hat - w) ** 2).mean()),
-                    "output_mse": output_mse(w, w_hat, x),
-                    "kl": bitalloc.kl_objective(ref, w_hat @ x),
-                    "iterations": report.iterations,
-                    "converged": report.converged,
-                    "final_loss": report.final_loss,
-                }
+                score = _score(w, codebook.reconstruct(codes, codec), x,
+                               report.iterations, report.converged,
+                               report.final_loss)
                 rows.append(_row(preset, s, arm, score, bits))
         summaries.append(_summarize(rows, preset, "babai", "gcd", "output_mse"))
 
-    elif preset == "lattice":
+    elif preset in _FIT_ARMS:
+        arms = _FIT_ARMS[preset]
         for s in range(seeds):
             w, x = make_group(base_seed + s, source=source, dim=dim)
-            for arm, fixed in (("learned", False), ("fixed_identity", True)):
+            for arm, override in arms:
                 score = fit_and_score(w, x, dim=dim, bits=bits,
-                                      cfg=replace(cfg, fixed_basis=fixed))
+                                      cfg=replace(cfg, **override))
                 rows.append(_row(preset, s, arm, score, bits))
-        summaries.append(_summarize(rows, preset, "learned", "fixed_identity",
+        summaries.append(_summarize(rows, preset, arms[0][0], arms[1][0],
                                     "output_mse"))
 
-    elif preset == "companding":
-        for s in range(seeds):
-            w, x = make_group(base_seed + s, source=source, dim=dim)
-            for arm, comp in (("companding_on", True), ("companding_off", False)):
-                score = fit_and_score(w, x, dim=dim, bits=bits,
-                                      cfg=replace(cfg, companding=comp))
-                rows.append(_row(preset, s, arm, score, bits))
-        summaries.append(_summarize(rows, preset, "companding_on",
-                                    "companding_off", "output_mse"))
-
     elif preset == "bit-alloc":
-        from . import pipeline  # local import avoids a cycle at module load
-
+        fit_settings = {f.name: getattr(cfg, f.name) for f in fields(FitConfig)}
         for s in range(seeds):
             w, x = make_layer(base_seed + s, source=source, dim=dim)
             for arm, alloc in (("sdba", True), ("uniform", False)):
                 run_cfg = pipeline.RunConfig(
-                    dim=dim, bits=float(bits), group_width=SUITE_GROUP_COLS,
-                    bit_alloc=alloc, companding=cfg.companding,
-                    fixed_basis=cfg.fixed_basis, rounding=cfg.rounding,
-                    max_iters=cfg.max_iters, tol=cfg.tol)
+                    **fit_settings, dim=dim, bits=float(bits),
+                    group_width=SUITE_GROUP_COLS, bit_alloc=alloc)
                 result = pipeline.quantize_matrix(w, x, run_cfg)
-                w_hat = pipeline.dequantize_records(result.records)
-                ref = w @ x
-                score = {
-                    "weight_mse": float(((w_hat - w) ** 2).mean()),
-                    "output_mse": output_mse(w, w_hat, x),
-                    "kl": bitalloc.kl_objective(ref, w_hat @ x),
-                    "iterations": sum(r.iterations for r in result.reports),
-                    "converged": all(r.converged for r in result.reports),
-                    "final_loss": float(sum(r.final_loss for r in result.reports)),
-                }
+                # float64 side info: an archive round trip would round it to fp16
+                w_hat = np.hstack([codebook.reconstruct(codes, codec)
+                                   for codec, codes in result.records])
+                score = _score(w, w_hat, x,
+                               sum(r.iterations for r in result.reports),
+                               all(r.converged for r in result.reports),
+                               float(sum(r.final_loss for r in result.reports)))
                 rows.append(_row(preset, s, arm, score, result.mean_bits()))
         summaries.append(_summarize(rows, preset, "sdba", "uniform", "kl"))
 
     elif preset == "group-size":
-        from .container import overhead_report
-
         for s in range(seeds):
             w, x = make_layer(base_seed + s, source=source, dim=dim,
                               n_groups=8, group_cols=64)
             for width in GROUP_SIZE_WIDTHS:
-                spans = [(a, min(a + width, w.shape[1]))
-                         for a in range(0, w.shape[1], width)]
                 total_mse = 0.0
-                for a, b in spans:
+                for a, b in pipeline.partition_columns(w.shape[1], width):
                     score = fit_and_score(w[:, a:b], x[a:b], dim=dim, bits=bits,
                                           cfg=cfg)
                     total_mse += score["output_mse"] * (b - a)

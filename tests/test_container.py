@@ -120,6 +120,27 @@ def test_archive_fp16_rounding_bounded():
     assert rel.max() <= 2.0**-10
 
 
+@pytest.mark.parametrize("scale, basis_entry", [
+    (1e5, 1.0),  # scale overflows fp16
+    (1e-9, 1.0),  # scale rounds to 0: the group would decode to zeros
+    (1e-6, 1.0),  # subnormal scale keeps only a few significant bits
+    (1.0, 1e5),  # basis entry overflows fp16
+])
+def test_archive_rejects_side_info_beyond_fp16(scale, basis_entry):
+    codec = GroupCodec(basis=basis_entry * np.eye(2), mu=0.0, bits=2,
+                       scale=scale, dim=2, pad=0, rows=2, cols=2)
+    with pytest.raises(ArchiveError):
+        write_archive([(codec, np.zeros((2, 2), int))])
+
+
+def test_archive_accepts_fp16_normal_range_limits():
+    for scale in (2.0**-14, 65504.0):
+        codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=scale,
+                           dim=2, pad=0, rows=2, cols=2)
+        got = read_archive(write_archive([(codec, np.zeros((2, 2), int))]))
+        assert got[0].codec.scale == scale
+
+
 def test_archive_decode_matches_reconstruct():
     rng = np.random.default_rng(4)
     codec = make_codec(rng, 4, 2, 10, 6)

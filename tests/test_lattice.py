@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from glvq.codebook import (SIGMA_MAX_DEFAULT, SIGMA_MIN_DEFAULT,
+                           spectral_normalize)
 from glvq.lattice import (SingularBasisError, babai_error_bound, babai_round,
                           check_basis, decode, exact_cvp, gram_schmidt,
                           lll_reduce)
@@ -19,6 +21,21 @@ def test_check_basis_rejects_singular():
     b = np.array([[1.0, 1e-15], [0.0, 1e-15]])
     with pytest.raises(SingularBasisError):
         check_basis(b)
+
+
+def test_check_basis_accepts_every_spectrally_normalized_basis():
+    # spectral_normalize admits singular values in [sigma_min, sigma_max];
+    # every such basis must pass, however far apart the extremes are
+    sigma_min, sigma_max = SIGMA_MIN_DEFAULT, SIGMA_MAX_DEFAULT
+    check_basis(spectral_normalize(np.diag([10.0] + [0.01] * 7)))
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 8, 16, 32):
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            s = rng.uniform(sigma_min, sigma_max, size=d)
+            s[0], s[-1] = sigma_max, sigma_min
+            check_basis((u * s) @ v.T)
 
 
 def test_check_basis_rejects_nonfinite_and_nonsquare():

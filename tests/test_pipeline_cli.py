@@ -29,7 +29,7 @@ def test_quantize_matrix_balanced_allocation():
     assert len(result.records) == 4
     assert result.bits.mean() == 2.0
     assert (result.bits == 3).sum() == (result.bits == 1).sum()
-    w_hat = pipeline.dequantize_records(result.records)
+    w_hat = container.read_archive(result.archive_bytes()).decode_matrix()
     assert w_hat.shape == w.shape
 
 
@@ -148,8 +148,7 @@ def test_cli_determinism(tmp_path):
         arch = tmp_path / f"a{i}.glvq"
         rep = tmp_path / f"r{i}.csv"
         assert run(["quantize", wpath, xpath, "--out", arch, "--report", rep,
-                    "--dim", 4, "--group-width", 32, "--bits", 2,
-                    "--seed", 7] + FAST) == 0
+                    "--dim", 4, "--group-width", 32, "--bits", 2] + FAST) == 0
         outs.append(arch.read_bytes())
         reports.append(rep.read_bytes())
     assert outs[0] == outs[1]
@@ -242,6 +241,52 @@ def test_cli_shape_mismatch_is_data_error(tmp_path):
     wpath = write_pair(tmp_path, "w", rng.standard_normal((8, 16)))
     xpath = write_pair(tmp_path, "x", rng.standard_normal((12, 4)))
     assert run(["quantize", wpath, xpath, "--out", tmp_path / "y.glvq"]) == 3
+
+
+@pytest.mark.parametrize("bad", ["weights", "calib"])
+def test_cli_non_finite_input_is_data_error(tmp_path, bad):
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((8, 16))
+    x = rng.standard_normal((16, 4))
+    (w if bad == "weights" else x)[1, 2] = np.nan
+    out = tmp_path / "y.glvq"
+    assert run(["quantize", write_pair(tmp_path, "w", w),
+                write_pair(tmp_path, "x", x), "--out", out, "--dim", 4,
+                "--group-width", 8] + FAST) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("magnitude", [1e5, 1e-9])
+def test_cli_weights_beyond_fp16_side_info_are_data_error(tmp_path, magnitude):
+    # the group scale (max |w|) is stored as fp16: 1e5 overflows it and
+    # 1e-9 would round to 0, decoding the group to zeros
+    rng = np.random.default_rng(14)
+    w = rng.standard_normal((8, 16))
+    w[:, 8:] *= magnitude / np.abs(w[:, 8:]).max()
+    x = rng.standard_normal((16, 4))
+    out = tmp_path / "y.glvq"
+    report = tmp_path / "r.csv"
+    assert run(["quantize", write_pair(tmp_path, "w", w),
+                write_pair(tmp_path, "x", x), "--out", out, "--report", report,
+                "--dim", 4, "--group-width", 8, "--no-bit-alloc"] + FAST) == 3
+    assert not out.exists() and not report.exists()
+
+
+def test_run_flags_fill_every_run_config_field():
+    parser = cli.build_parser()
+    bare = parser.parse_args(["quantize", "w.f32", "x.f32", "--out", "a.glvq"])
+    assert cli._run_config(bare) == pipeline.RunConfig()
+    args = parser.parse_args([
+        "quantize", "w.f32", "x.f32", "--out", "a.glvq", "--dim", "4",
+        "--bits", "3.5", "--group-width", "64", "--no-bit-alloc",
+        "--no-companding", "--fixed-basis", "--rounding", "gcd",
+        "--eta-basis", "0.002", "--eta-mu", "0.3", "--tol", "1e-5",
+        "--max-iters", "7", "--lam", "0.5", "--sigma-min", "0.05",
+        "--sigma-max", "4.0"])
+    assert cli._run_config(args) == pipeline.RunConfig(
+        dim=4, bits=3.5, group_width=64, bit_alloc=False, companding=False,
+        fixed_basis=True, rounding="gcd", eta_basis=0.002, eta_mu=0.3,
+        tol=1e-5, max_iters=7, lam=0.5, sigma_min=0.05, sigma_max=4.0)
 
 
 def test_cli_invalid_config_is_usage_error(tmp_path):
