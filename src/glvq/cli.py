@@ -152,7 +152,10 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     archive = _load_archive(args.archive)
-    matrix = archive.decode_matrix()
+    try:
+        matrix = archive.decode_matrix()
+    except container.ArchiveError as e:
+        raise DataError(f"bad archive {args.archive}: {e}") from e
     container.write_tensor_file(args.out, matrix)
     print(f"wrote {args.out}: shape {matrix.shape[0]}x{matrix.shape[1]}")
     return EXIT_OK

@@ -61,10 +61,25 @@ class FitConfig:
 
 @dataclass
 class FitReport:
+    """What fit_group did.  ``loss_history`` holds the initial loss and one
+    entry per accepted step; ``proposals`` counts the line-search
+    proposals evaluated (one loss evaluation each, initial one excluded).
+
+    ``stop_reason`` is "tol" (an iteration changed the loss by less than
+    the relative tolerance), "stalled" (an iteration accepted no step:
+    every step size was halved to its floor without a decrease),
+    "no_accept" (an iteration accepted no step because nothing is
+    learned: fixed basis and no companding) or "max_iters"."""
+
     loss_history: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     final_loss: float = float("inf")
+    proposals: int = 0
+    stop_reason: str = "max_iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 def code_range(bits: int):
@@ -158,44 +173,54 @@ def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float 
     return float((r * r).sum() + lam * (dg * dg).sum())
 
 
-def _loss_and_grads(weights, calib, codec, codes, basis_init, lam, wx=None):
-    """Loss plus analytic gradients w.r.t. basis and mu, with codes held
-    constant (straight-through past the rounding)."""
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(calib, dtype=float)
+def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
+    """group_loss evaluated through H = X X^T:
+    tr(dW H dW^T) + lam ||G - G_init||_F^2 with dW = W_hat - W.
+
+    Costs O(m n^2) whatever the calibration length.  Also returns the
+    terms (zf, v, p, dg) that _hessian_grads reuses, so a rejected
+    proposal pays for its loss alone."""
     zf = np.asarray(codes, dtype=float)
     v = codec.basis @ zf
+    y = companding.expand(v, codec.mu) if codec.mu > 0.0 else v
+    dw = unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad) - weights
+    p = dw @ hess
+    dg = codec.basis - basis_init
+    loss = float((dw * p).sum() + lam * (dg * dg).sum())
+    return loss, (zf, v, p, dg)
+
+
+def _hessian_grads(codec, terms, lam):
+    """Analytic gradients w.r.t. basis and mu from _hessian_loss's terms,
+    with codes held constant (straight-through past the rounding)."""
+    zf, v, p, dg = terms
+    g_lat, _ = reshape_group(2.0 * p, codec.dim)  # pad positions land on zeros
     if codec.mu > 0.0:
-        y = companding.expand(v, codec.mu)
         didy, didmu = companding.expand_grad(v, codec.mu)
-    else:
-        y = v
-    w_hat = unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
-    if wx is None:
-        wx = w @ x
-    r = w_hat @ x - wx
-    dg = codec.basis - np.asarray(basis_init, dtype=float)
-    loss = float((r * r).sum() + lam * (dg * dg).sum())
-    g_out = 2.0 * (r @ x.T)  # m x n
-    g_lat, _ = reshape_group(g_out, codec.dim)  # pad positions land on zeros
-    if codec.mu > 0.0:
         g_v = g_lat * (codec.scale * didy)
         grad_mu = float((g_lat * (codec.scale * didmu)).sum())
     else:
         g_v = g_lat * codec.scale
         grad_mu = 0.0
-    grad_basis = g_v @ zf.T + 2.0 * lam * dg
-    return loss, grad_basis, grad_mu
+    return g_v @ zf.T + 2.0 * lam * dg, grad_mu
+
+
+def _grads(weights, calib, codec, codes, basis_init, lam):
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(calib, dtype=float)
+    _, terms = _hessian_loss(w, x @ x.T, codec, codes,
+                             np.asarray(basis_init, dtype=float), lam)
+    return _hessian_grads(codec, terms, lam)
 
 
 def grad_basis(weights, calib, codec, codes, basis_init, lam: float = 0.1) -> np.ndarray:
     """Analytic d x d gradient of group_loss w.r.t. the generation matrix."""
-    return _loss_and_grads(weights, calib, codec, codes, basis_init, lam)[1]
+    return _grads(weights, calib, codec, codes, basis_init, lam)[0]
 
 
 def grad_mu(weights, calib, codec, codes, basis_init, lam: float = 0.1) -> float:
     """Analytic gradient of group_loss w.r.t. the companding curvature."""
-    return _loss_and_grads(weights, calib, codec, codes, basis_init, lam)[2]
+    return _grads(weights, calib, codec, codes, basis_init, lam)[1]
 
 
 def spectral_normalize(basis, sigma_min: float = SIGMA_MIN_DEFAULT,
@@ -293,11 +318,12 @@ class _StepSize:
 def _line_search(step, size: _StepSize, loss, propose):
     """Backtracking line search: halve ``size.eta`` until the proposal
     ``propose(step(eta))`` does not raise ``loss``, and double it back
-    toward ``eta_max`` after 5 consecutive accepts.  Returns the accepted
-    proposal, or None once the step size stalls."""
+    toward ``eta_max`` after 5 consecutive accepts.  ``propose`` returns
+    (loss, state).  Returns the accepted pair, or None once the step size
+    stalls."""
     while not size.stalled:
         found = propose(step(size.eta))
-        if found[2] <= loss:
+        if found[0] <= loss:
             size.streak += 1
             if size.streak >= 5:
                 size.eta = min(size.eta * 2.0, size.eta_max)
@@ -319,6 +345,10 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     when the relative loss change of an iteration falls below ``tol``,
     when no step is accepted, or after ``max_iters`` iterations.  Returns
     (codec, codes, FitReport).
+
+    The objective is evaluated through H = X X^T, built once, so a
+    proposal's cost does not depend on the calibration length; gradients
+    are computed only for accepted proposals.
     """
     cfg = config or FitConfig()
     w = np.asarray(weights, dtype=float)
@@ -333,24 +363,32 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
         identity_basis=cfg.fixed_basis, sigma_min=cfg.sigma_min,
         sigma_max=cfg.sigma_max)
     basis_init = codec.basis.copy()
-    wx = w @ x
+    hess = x @ x.T
+    report = FitReport()
 
-    codes = _quantize(_latent_of(w, codec), codec, cfg)
-    loss, g_b, g_m = _loss_and_grads(w, x, codec, codes, basis_init, cfg.lam, wx)
-    history = [loss]
+    # the latent depends on mu and scale only, so basis steps reuse it
+    latent = _latent_of(w, codec)
+    codes = _quantize(latent, codec, cfg)
+    loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, cfg.lam)
+    g_b, g_m = _hessian_grads(codec, terms, cfg.lam)
+    report.loss_history.append(loss)
 
-    def propose(cand):
-        cand_codes = _quantize(_latent_of(w, cand), cand, cfg)
-        return (cand, cand_codes) + _loss_and_grads(
-            w, x, cand, cand_codes, basis_init, cfg.lam, wx)
+    def propose(cand_and_latent):
+        report.proposals += 1
+        cand, cand_lat = cand_and_latent
+        cand_codes = _quantize(cand_lat, cand, cfg)
+        cand_loss, cand_terms = _hessian_loss(w, hess, cand, cand_codes,
+                                              basis_init, cfg.lam)
+        return cand_loss, (cand, cand_lat, cand_codes, cand_terms)
 
     def basis_step(eta):
         return replace(codec, basis=spectral_normalize(
-            codec.basis - eta * g_b, cfg.sigma_min, cfg.sigma_max))
+            codec.basis - eta * g_b, cfg.sigma_min, cfg.sigma_max)), latent
 
     def mu_step(eta):
-        return replace(codec, mu=float(np.clip(
+        cand = replace(codec, mu=float(np.clip(
             codec.mu - eta * g_m, companding.MU_MIN, companding.MU_MAX)))
+        return cand, _latent_of(w, cand)
 
     # (step, step size) per learned parameter, searched in this order
     searches = []
@@ -359,25 +397,28 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     if cfg.companding and codec.mu > 0.0:
         searches.append((mu_step, _StepSize(cfg.eta_mu, cfg.eta_mu)))
 
-    converged = False
-    iterations = 0
     for _ in range(cfg.max_iters):
-        iterations += 1
+        report.iterations += 1
         loss_start = loss
         accepted_any = False
         for step, size in searches:
             found = _line_search(step, size, loss, propose)
             if found is not None:
-                codec, codes, loss, g_b, g_m = found
-                history.append(loss)
+                loss, (codec, latent, codes, terms) = found
+                g_b, g_m = _hessian_grads(codec, terms, cfg.lam)
+                report.loss_history.append(loss)
                 accepted_any = True
-        if (not accepted_any or all(size.stalled for _, size in searches)
-                or abs(loss - loss_start) / max(loss_start, 1e-30) < cfg.tol):
-            converged = True
+        # without an accept every search has stalled, since a line search
+        # gives up only at its step-size floor
+        if not accepted_any:
+            report.stop_reason = "stalled" if searches else "no_accept"
+            break
+        if abs(loss - loss_start) / max(loss_start, 1e-30) < cfg.tol:
+            report.stop_reason = "tol"
             break
 
-    return codec, codes, FitReport(loss_history=history, iterations=iterations,
-                                   converged=converged, final_loss=loss)
+    report.final_loss = loss
+    return codec, codes, report
 
 
 def rtn_quantize(weights, bits: int) -> np.ndarray:

@@ -20,9 +20,15 @@ packed LSB-first within each byte; the final partial byte is zero
 padded.  Side information is rounded to IEEE binary16 (nearest-even);
 a scale outside binary16's normal range, or a basis entry beyond its
 maximum, is rejected at write time.  Codes round-trip bit exactly.
+
+Reading rejects a record with zero rows or columns, a mu that is neither
+0 nor in [MU_MIN, MU_MAX], a scale that is not finite and positive, or a
+non-finite basis entry; decoding rejects a group whose values leave the
+float32 range.  ArchiveError covers every such case.
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,12 +36,14 @@ from functools import cached_property
 
 import numpy as np
 
+from . import companding
 from .codebook import GroupCodec, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
 _FP16_MAX = float(np.finfo(np.float16).max)  # 65504
 _FP16_MIN_NORMAL = float(np.finfo(np.float16).tiny)  # 2^-14
+_F32_MAX = float(np.finfo(np.float32).max)
 
 _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<IIHBHee")
@@ -112,7 +120,23 @@ class ArchiveGroup:
                             self.codec.columns)
 
     def decode(self) -> np.ndarray:
-        return reconstruct(self.codes, self.codec)
+        """Reconstruct the group; raises ArchiveError if the stored basis
+        is so large that the expand stage leaves the float32 range, in
+        which decoded tensors are written."""
+        codec = self.codec
+        with np.errstate(over="ignore"):
+            out = reconstruct(self.codes, codec)
+            # no code exceeds 2^(bits-1) in magnitude, which bounds |G z|
+            # and so every decoded value: only a group whose bound leaves
+            # the range needs its values scanned
+            bound = np.abs(codec.basis).sum(axis=1).max() * 2.0 ** (codec.bits - 1)
+            if codec.mu > 0.0:
+                bound = companding.expand(bound, codec.mu)
+        # min and max propagate NaN, so a NaN fails the scan as well
+        if codec.scale * bound > _F32_MAX and not (
+                -_F32_MAX <= out.min() and out.max() <= _F32_MAX):
+            raise ArchiveError("group decodes to values outside the float32 range")
+        return out
 
 
 class GlvqArchive:
@@ -158,11 +182,27 @@ def write_archive(records) -> bytes:
     return bytes(out)
 
 
+def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
+    """Reject side info that cannot decode: mu must be 0 (no companding) or
+    lie in [MU_MIN, MU_MAX], the scale must be finite and positive, and
+    every basis entry finite."""
+    if not (mu == 0.0 or companding.MU_MIN <= mu <= companding.MU_MAX):
+        raise ArchiveError(
+            f"group {idx}: mu {mu:g} is neither 0 nor in "
+            f"[{companding.MU_MIN:g}, {companding.MU_MAX:g}]")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ArchiveError(f"group {idx}: scale {scale:g} is not finite and positive")
+    if not np.isfinite(basis).all():
+        raise ArchiveError(f"group {idx}: basis has non-finite entries")
+
+
 def _check_side_info(idx: int, codec: GroupCodec) -> None:
-    """Reject side info that binary16 cannot hold faithfully.  The scale
-    (a group's max |w|) must be a normal binary16 number: below that range
-    it loses relative precision and below 2^-24 it rounds to 0, so the
-    group would decode to zeros; above 65504 it overflows."""
+    """Reject side info that cannot decode, or that binary16 cannot hold
+    faithfully.  The scale (a group's max |w|) must be a normal binary16
+    number: below that range it loses relative precision and below 2^-24
+    it rounds to 0, so the group would decode to zeros; above 65504 it
+    overflows."""
+    _check_decodable(idx, codec.scale, codec.mu, codec.basis)
     if not _FP16_MIN_NORMAL <= codec.scale <= _FP16_MAX:
         raise ArchiveError(
             f"group {idx}: scale {codec.scale:g} (max |w| of the group) lies "
@@ -188,7 +228,7 @@ def read_archive(data: bytes) -> GlvqArchive:
             raise TruncatedArchiveError(f"record {idx} header truncated")
         rows, cols, dim, bits, pad, scale, mu = _RECORD.unpack_from(data, off)
         off += _RECORD.size
-        if dim < 1 or not 1 <= bits <= 8 or pad >= dim:
+        if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= 8 or pad >= dim:
             raise ArchiveError(f"record {idx} has invalid geometry")
         if (rows * cols + pad) % dim != 0:
             raise ArchiveError(f"record {idx} geometry does not tile into dim={dim}")
@@ -197,6 +237,7 @@ def read_archive(data: bytes) -> GlvqArchive:
             raise TruncatedArchiveError(f"record {idx} side info truncated")
         basis = np.frombuffer(data[off:off + basis_bytes], dtype="<f2")
         basis = basis.astype(float).reshape(dim, dim)
+        _check_decodable(idx, float(scale), float(mu), basis)
         off += basis_bytes
         (payload_len,) = _PAYLEN.unpack_from(data, off)
         off += _PAYLEN.size

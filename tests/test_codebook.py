@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from glvq import companding
-from glvq.codebook import (FitConfig, GroupCodec, code_range, fit_group,
-                           gcd_quantize_columns, grad_basis, grad_mu,
+from glvq import codebook, companding
+from glvq.codebook import (FitConfig, GroupCodec, _hessian_loss, code_range,
+                           fit_group, gcd_quantize_columns, grad_basis, grad_mu,
                            group_loss, init_codec, quantize_columns,
                            reconstruct, reshape_group, rtn_quantize,
                            spectral_normalize, unreshape_group)
@@ -221,6 +221,57 @@ def test_gradients_match_finite_differences(with_companding, lam):
         _fd_check(rng, with_companding, lam)
 
 
+# The Hessian form reorders float64 sums, so it matches the X form to
+# rounding, not bitwise.  Fixed before that code was written, far above
+# float64 rounding on these sizes.
+HESSIAN_RTOL = 1e-9
+
+
+def _xform_grads(w, x, codec, codes, basis_init, lam):
+    """Reference basis and mu gradients through the residual
+    r = (W_hat - W) X, built from r X^T."""
+    zf = codes.astype(float)
+    v = codec.basis @ zf
+    r = (reconstruct(codes, codec) - w) @ x
+    g_lat, _ = reshape_group(2.0 * (r @ x.T), codec.dim)
+    if codec.mu > 0.0:
+        didy, didmu = companding.expand_grad(v, codec.mu)
+        g_v = g_lat * (codec.scale * didy)
+        g_mu = float((g_lat * (codec.scale * didmu)).sum())
+    else:
+        g_v, g_mu = g_lat * codec.scale, 0.0
+    return g_v @ zf.T + 2.0 * lam * (codec.basis - basis_init), g_mu
+
+
+@pytest.mark.parametrize("with_companding", [False, True])
+@pytest.mark.parametrize("rows,cols,t", [
+    (6, 8, 20),  # pad 0
+    (5, 7, 20),  # pad 1
+    (5, 7, 3),  # T < n: H = X X^T is singular
+])
+def test_hessian_form_matches_x_form(with_companding, rows, cols, t):
+    rng = np.random.default_rng(40)
+    d, bits, lam = 4, 3, 0.1
+    for _ in range(20):
+        w = rng.standard_t(4, size=(rows, cols))
+        x = rng.standard_normal((cols, t))
+        pad = reshape_group(w, d)[1]
+        mu = float(rng.uniform(10, 255)) if with_companding else 0.0
+        codec = make_codec(np.eye(d) + 0.2 * rng.standard_normal((d, d)), mu,
+                           bits, float(np.abs(w).max()), rows, cols, pad)
+        lo, hi = code_range(bits)
+        codes = rng.integers(lo, hi + 1, size=(d, codec.columns))
+        basis_init = codec.basis + 0.05 * rng.standard_normal((d, d))
+        loss, _ = _hessian_loss(w, x @ x.T, codec, codes, basis_init, lam)
+        assert loss == pytest.approx(group_loss(w, codec, codes, x, basis_init, lam),
+                                     rel=HESSIAN_RTOL, abs=0.0)
+        ref_gb, ref_gm = _xform_grads(w, x, codec, codes, basis_init, lam)
+        g_b = grad_basis(w, x, codec, codes, basis_init, lam)
+        assert np.abs(g_b - ref_gb).max() <= HESSIAN_RTOL * np.abs(ref_gb).max()
+        g_m = grad_mu(w, x, codec, codes, basis_init, lam)
+        assert g_m == pytest.approx(ref_gm, rel=HESSIAN_RTOL, abs=0.0)
+
+
 # ---------------------------------------------------------- normalization
 
 def test_spectral_normalize_inside_range_unchanged():
@@ -328,6 +379,59 @@ def test_fit_group_beats_rtn_on_heavy_tails():
     glvq_err = (((reconstruct(codes, codec) - w) @ x) ** 2).sum()
     rtn_err = (((rtn_quantize(w, 2) - w) @ x) ** 2).sum()
     assert glvq_err < rtn_err
+
+
+def test_fit_group_gradients_only_for_accepted_steps(monkeypatch):
+    rng = np.random.default_rng(16)
+    w = rng.standard_t(4, size=(32, 16))
+    x = rng.standard_normal((16, 64))
+    init = init_codec(w, 4, 2)
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(companding, "expand_grad")
+    count(companding, "compand")
+    count(codebook, "spectral_normalize")  # once per basis proposal
+    _, _, report = fit_group(w, x, 4, 2, FitConfig(), init=init)
+    accepts = len(report.loss_history) - 1
+    mu_proposals = report.proposals - calls["spectral_normalize"]
+    assert 0 < accepts < report.proposals and mu_proposals > 0
+    # one gradient at init, then one per accepted step
+    assert calls["expand_grad"] == len(report.loss_history)
+    # basis proposals reuse the companded latent; mu proposals recompute it
+    assert calls["compand"] <= 1 + mu_proposals
+
+
+def test_fit_group_stop_reasons():
+    rng = np.random.default_rng(0)
+    w = rng.standard_t(4, size=(8, 8))
+    x = rng.standard_normal((8, 4))
+
+    def stop(**overrides):
+        _, _, report = fit_group(w, x, 2, 2, FitConfig(**overrides))
+        return report
+
+    report = stop()
+    assert (report.stop_reason, report.converged) == ("tol", True)
+    # tol=0 never fires: this group's basis search halves its step size
+    # 50 times without a decrease and stalls
+    report = stop(tol=0.0, max_iters=3000, companding=False)
+    assert (report.stop_reason, report.converged) == ("stalled", True)
+    assert report.proposals - (len(report.loss_history) - 1) >= 50
+    report = stop(tol=0.0, max_iters=3)
+    assert (report.stop_reason, report.converged) == ("max_iters", False)
+    assert report.iterations == 3
+    report = stop(fixed_basis=True, companding=False)
+    assert (report.stop_reason, report.converged) == ("no_accept", True)
+    assert (report.iterations, report.proposals) == (1, 0)
 
 
 def test_fit_group_shape_mismatch():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,62 @@ def test_archive_parse_errors_distinct():
         read_archive(data[:8])
     with pytest.raises(ArchiveError):
         read_archive(data + b"\x00")
+
+
+def raw_archive(rows=2, cols=2, dim=2, bits=2, pad=0, scale=1.0, mu=0.0,
+                basis_entry=1.0):
+    """One-record archive packed field by field, bypassing write_archive's
+    checks; the basis is basis_entry * I and every payload byte is zero,
+    so every code is -2^(bits-1)."""
+    columns = (rows * cols + pad) // dim
+    payload = bytes((dim * columns * bits + 7) // 8)
+    return (struct.pack("<4sHI", b"GLVQ", 1, 1)
+            + struct.pack("<IIHBHee", rows, cols, dim, bits, pad, scale, mu)
+            + np.diag(np.full(dim, basis_entry)).astype("<f2").tobytes()
+            + struct.pack("<Q", len(payload)) + payload)
+
+
+def test_archive_reads_valid_raw_record():
+    for mu in (0.0, 10.0, 255.0):
+        codec = read_archive(raw_archive(mu=mu, scale=2.0**-20))[0].codec
+        assert (codec.mu, codec.scale) == (mu, 2.0**-20)
+
+
+@pytest.mark.parametrize("fields", [
+    {"rows": 0}, {"cols": 0},
+    {"mu": 5.0}, {"mu": 300.0}, {"mu": np.inf}, {"mu": np.nan}, {"mu": -20.0},
+    {"scale": np.nan}, {"scale": np.inf}, {"scale": 0.0}, {"scale": -1.0},
+    {"basis_entry": np.nan}, {"basis_entry": -np.inf},
+])
+def test_archive_rejects_undecodable_side_info(fields):
+    with pytest.raises(ArchiveError):
+        read_archive(raw_archive(**fields))
+
+
+@pytest.mark.parametrize("mu,basis_entry", [(5.0, 1.0), (0.0, np.nan)])
+def test_archive_write_rejects_undecodable_side_info(mu, basis_entry):
+    codec = GroupCodec(basis=np.diag([basis_entry, 1.0]), mu=mu, bits=2,
+                       scale=1.0, dim=2, pad=0, rows=2, cols=2)
+    with pytest.raises(ArchiveError):
+        write_archive([(codec, np.zeros((2, 2), int))])
+
+
+@pytest.mark.parametrize("basis_entry", [1000.0, 21.0])
+def test_archive_decode_rejects_overflowing_expansion(basis_entry):
+    # codes of -2 put the companded latent at -2 * basis_entry, far past
+    # [-1, 1]: (1 + mu)^2000 overflows float64, and (1 + mu)^42 at mu=100
+    # (about 1e84) float32, in which decoded tensors are written
+    arch = read_archive(raw_archive(mu=100.0, bits=2, basis_entry=basis_entry))
+    with pytest.raises(ArchiveError):
+        arch.decode_matrix()
+
+
+def test_archive_decode_scans_large_basis_with_small_codes():
+    # the basis bound overflows, but zero codes decode to zeros
+    codec = GroupCodec(basis=1000.0 * np.eye(2), mu=100.0, bits=2, scale=1.0,
+                       dim=2, pad=0, rows=2, cols=2)
+    arch = read_archive(write_archive([(codec, np.zeros((2, 2), int))]))
+    assert not arch.decode_matrix().any()
 
 
 def test_record_side_bytes():

@@ -200,6 +200,28 @@ def test_cli_truncated_archive_no_partial_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mu", 5.0), ("mu", np.inf), ("mu", np.nan), ("scale", np.nan),
+    ("scale", 0.0), ("basis", np.nan), ("basis", 1000.0), ("basis", 25.0),
+])
+def test_cli_undecodable_side_info_is_data_error(tmp_path, field, value):
+    # patch one fp16 field of a valid companded archive: the header takes
+    # 10 bytes, a record's rows, cols, dim, bits and pad 13 more, then come
+    # scale, mu and the basis.  With codes of 1 a basis entry of 1000
+    # overflows the expansion in float64, and 25 (101^25, about 1e50) in
+    # the float32 output tensor.
+    codec = GroupCodec(basis=0.5 * np.eye(2), mu=100.0, bits=2, scale=1.0,
+                       dim=2, pad=0, rows=4, cols=2)
+    data = bytearray(container.write_archive([(codec, np.ones((2, 4), int))]))
+    offset = {"scale": 23, "mu": 25, "basis": 27}[field]
+    data[offset:offset + 2] = np.array(value, dtype="<f2").tobytes()
+    bad = tmp_path / "bad.glvq"
+    bad.write_bytes(bytes(data))
+    out = tmp_path / "never.f32"
+    assert run(["dequantize", bad, "--out", out]) == 3
+    assert not out.exists()
+
+
 def test_eval_weight_mse_independent_of_calib_size():
     rng = np.random.default_rng(20)
     w = rng.standard_normal((16, 32))
