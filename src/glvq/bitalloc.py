@@ -40,10 +40,9 @@ class SalienceScores:
 
 @dataclass
 class BitAllocation:
-    """Per-group integer bit-widths and the mean-rate target they meet."""
+    """Per-group integer bit-widths."""
 
     bits: np.ndarray
-    target_mean: float
 
 
 def compute_salience(groups, calib, probe_bits: int = 2) -> SalienceScores:
@@ -170,4 +169,4 @@ def allocate_bits(salience: SalienceScores, target, quantize_probe=None,
         count = int(math.floor((target - lo) * g + 0.5))
         bits = np.full(g, lo, dtype=np.int64)
         bits[salience.order[:count]] = lo + 1
-    return BitAllocation(bits=bits, target_mean=target)
+    return BitAllocation(bits=bits)

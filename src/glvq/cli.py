@@ -77,13 +77,8 @@ _RUN_FLAGS = (
     ("--fixed-basis", "fixed_basis",
      {"help": "keep a scaled identity basis instead of learning one"}),
     ("--rounding", "rounding", {"choices": ("babai", "gcd")}),
-    ("--eta-basis", "eta_basis", {}),
-    ("--eta-mu", "eta_mu", {}),
     ("--tol", "tol", {}),
     ("--max-iters", "max_iters", {}),
-    ("--lam", "lam", {}),
-    ("--sigma-min", "sigma_min", {}),
-    ("--sigma-max", "sigma_max", {}),
 )
 
 
@@ -125,9 +120,12 @@ def cmd_quantize(args) -> int:
     elapsed = time.perf_counter() - start
     container.atomic_write_bytes(args.out, archive_data)
 
+    # the report shows the side info as stored, which is what a decoder uses
+    archive = container.read_archive(archive_data)
     rows = []
-    for i, ((codec, _), (a, b), report) in enumerate(
-            zip(result.records, result.spans, result.reports)):
+    for i, (group, (a, b), report) in enumerate(
+            zip(archive, result.spans, result.reports)):
+        codec = group.codec
         rows.append({
             "group": i, "start_col": a, "cols": b - a, "bits": codec.bits,
             "dim": codec.dim, "mu": codec.mu, "scale": codec.scale,
@@ -138,7 +136,6 @@ def cmd_quantize(args) -> int:
         })
     if args.report:
         _write_csv(args.report, rows, list(rows[0].keys()))
-    archive = container.read_archive(archive_data)
     metrics = pipeline.evaluate(weights, archive, calib)
     print(f"wrote {args.out}: {len(result.records)} groups, "
           f"{len(archive_data)} bytes")
@@ -181,6 +178,7 @@ def cmd_ablate(args) -> int:
     if abs(args.bits - round(args.bits)) > 1e-9:
         raise ValueError("ablation presets use integer bit-widths")
     cfg = codebook.FitConfig(max_iters=args.max_iters, tol=args.tol)
+    cfg.validate()
     rows, summaries = synthetic.run_ablation(
         args.preset, seeds=args.seeds, source=args.source, dim=args.dim,
         bits=int(round(args.bits)), base_seed=args.seed, config=cfg)

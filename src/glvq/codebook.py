@@ -16,6 +16,12 @@ import numpy as np
 from . import companding
 from .lattice import babai_round, check_basis
 
+# Optimizer constants: the initial (and largest) step sizes of the basis
+# and curvature line searches, the weight of the basis anchor penalty,
+# and the singular-value range spectral normalization keeps the basis in.
+ETA_BASIS = 1e-3
+ETA_MU = 1e-1
+LAM = 0.1
 SIGMA_MIN_DEFAULT = 1e-2
 SIGMA_MAX_DEFAULT = 10.0
 COV_RIDGE = 1e-6
@@ -45,18 +51,22 @@ class GroupCodec:
 
 @dataclass
 class FitConfig:
-    """Optimizer settings for fit_group."""
+    """Optimizer settings for fit_group; the step sizes, the anchor weight
+    and the singular-value range are the module constants above."""
 
-    eta_basis: float = 1e-3
-    eta_mu: float = 1e-1
     tol: float = 1e-4
     max_iters: int = 200
-    lam: float = 0.1
-    sigma_min: float = SIGMA_MIN_DEFAULT
-    sigma_max: float = SIGMA_MAX_DEFAULT
     companding: bool = True
     fixed_basis: bool = False
     rounding: str = "babai"  # "babai" | "gcd"
+
+    def validate(self) -> None:
+        if self.rounding not in ("babai", "gcd"):
+            raise ValueError(f"rounding must be babai or gcd, got {self.rounding!r}")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -73,9 +83,12 @@ class FitReport:
 
     loss_history: list = field(default_factory=list)
     iterations: int = 0
-    final_loss: float = float("inf")
     proposals: int = 0
     stop_reason: str = "max_iters"
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_history[-1]
 
     @property
     def converged(self) -> bool:
@@ -162,7 +175,7 @@ def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
     return unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
 
 
-def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = 0.1) -> float:
+def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = LAM) -> float:
     """Output reconstruction error plus basis anchor penalty:
     ||W X - W_hat X||_F^2 + lam ||G - G_init||_F^2."""
     w = np.asarray(weights, dtype=float)
@@ -213,12 +226,12 @@ def _grads(weights, calib, codec, codes, basis_init, lam):
     return _hessian_grads(codec, terms, lam)
 
 
-def grad_basis(weights, calib, codec, codes, basis_init, lam: float = 0.1) -> np.ndarray:
+def grad_basis(weights, calib, codec, codes, basis_init, lam: float = LAM) -> np.ndarray:
     """Analytic d x d gradient of group_loss w.r.t. the generation matrix."""
     return _grads(weights, calib, codec, codes, basis_init, lam)[0]
 
 
-def grad_mu(weights, calib, codec, codes, basis_init, lam: float = 0.1) -> float:
+def grad_mu(weights, calib, codec, codes, basis_init, lam: float = LAM) -> float:
     """Analytic gradient of group_loss w.r.t. the companding curvature."""
     return _grads(weights, calib, codec, codes, basis_init, lam)[1]
 
@@ -237,9 +250,7 @@ def spectral_normalize(basis, sigma_min: float = SIGMA_MIN_DEFAULT,
 
 
 def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
-               identity_basis: bool = False,
-               sigma_min: float = SIGMA_MIN_DEFAULT,
-               sigma_max: float = SIGMA_MAX_DEFAULT) -> GroupCodec:
+               identity_basis: bool = False) -> GroupCodec:
     """Build the initial codec for a weight group.
 
     With companding the group is normalized by its max magnitude and the
@@ -289,7 +300,7 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0
-    basis = spectral_normalize(alpha * chol, sigma_min, sigma_max)
+    basis = spectral_normalize(alpha * chol)
     return GroupCodec(basis=basis, mu=mu, bits=bits, scale=scale, dim=dim,
                       pad=pad, rows=rows, cols=cols)
 
@@ -360,8 +371,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
 
     codec = init if init is not None else init_codec(
         w, dim, bits, companding_enabled=cfg.companding,
-        identity_basis=cfg.fixed_basis, sigma_min=cfg.sigma_min,
-        sigma_max=cfg.sigma_max)
+        identity_basis=cfg.fixed_basis)
     basis_init = codec.basis.copy()
     hess = x @ x.T
     report = FitReport()
@@ -369,8 +379,8 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     # the latent depends on mu and scale only, so basis steps reuse it
     latent = _latent_of(w, codec)
     codes = _quantize(latent, codec, cfg)
-    loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, cfg.lam)
-    g_b, g_m = _hessian_grads(codec, terms, cfg.lam)
+    loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
+    g_b, g_m = _hessian_grads(codec, terms, LAM)
     report.loss_history.append(loss)
 
     def propose(cand_and_latent):
@@ -378,12 +388,11 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
         cand, cand_lat = cand_and_latent
         cand_codes = _quantize(cand_lat, cand, cfg)
         cand_loss, cand_terms = _hessian_loss(w, hess, cand, cand_codes,
-                                              basis_init, cfg.lam)
+                                              basis_init, LAM)
         return cand_loss, (cand, cand_lat, cand_codes, cand_terms)
 
     def basis_step(eta):
-        return replace(codec, basis=spectral_normalize(
-            codec.basis - eta * g_b, cfg.sigma_min, cfg.sigma_max)), latent
+        return replace(codec, basis=spectral_normalize(codec.basis - eta * g_b)), latent
 
     def mu_step(eta):
         cand = replace(codec, mu=float(np.clip(
@@ -393,9 +402,9 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     # (step, step size) per learned parameter, searched in this order
     searches = []
     if not cfg.fixed_basis:
-        searches.append((basis_step, _StepSize(cfg.eta_basis, cfg.eta_basis)))
+        searches.append((basis_step, _StepSize(ETA_BASIS, ETA_BASIS)))
     if cfg.companding and codec.mu > 0.0:
-        searches.append((mu_step, _StepSize(cfg.eta_mu, cfg.eta_mu)))
+        searches.append((mu_step, _StepSize(ETA_MU, ETA_MU)))
 
     for _ in range(cfg.max_iters):
         report.iterations += 1
@@ -405,7 +414,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
             found = _line_search(step, size, loss, propose)
             if found is not None:
                 loss, (codec, latent, codes, terms) = found
-                g_b, g_m = _hessian_grads(codec, terms, cfg.lam)
+                g_b, g_m = _hessian_grads(codec, terms, LAM)
                 report.loss_history.append(loss)
                 accepted_any = True
         # without an accept every search has stalled, since a line search
@@ -417,7 +426,6 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
             report.stop_reason = "tol"
             break
 
-    report.final_loss = loss
     return codec, codes, report
 
 

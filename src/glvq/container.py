@@ -32,7 +32,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -109,12 +108,13 @@ def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarra
 
 @dataclass
 class ArchiveGroup:
-    """One parsed group record; codes are unpacked lazily."""
+    """One parsed group record; codes are unpacked on each access and not
+    kept, so a decoded archive holds only the packed payloads."""
 
     codec: GroupCodec
     payload: bytes
 
-    @cached_property
+    @property
     def codes(self) -> np.ndarray:
         return unpack_codes(self.payload, self.codec.bits, self.codec.dim,
                             self.codec.columns)
@@ -259,17 +259,21 @@ def read_archive(data: bytes) -> GlvqArchive:
     return GlvqArchive(groups)
 
 
-def overhead_report(dim: int, rows: int, cols: int, bits: int) -> float:
-    """Side-information overhead percentage 100 * (16 d^2 + 16) / (m n b).
+def side_info_bits(dim: int) -> int:
+    """Side-information bits per group that the overhead figure counts:
+    the d x d float16 basis plus one float16 curvature scalar (the
+    per-group scale and record framing are excluded; see
+    record_side_bytes for the on-disk figure)."""
+    return 16 * dim * dim + 16
 
-    Counts the d x d float16 basis plus one float16 curvature scalar
-    against the packed code bits (the per-group scale and record framing
-    are excluded here; see record_side_bytes for the on-disk figure).
-    """
+
+def overhead_report(dim: int, rows: int, cols: int, bits: int) -> float:
+    """Side-information overhead percentage 100 * (16 d^2 + 16) / (m n b):
+    side_info_bits against the packed code bits of one group."""
     for name, v in (("dim", dim), ("rows", rows), ("cols", cols), ("bits", bits)):
         if v < 1:
             raise ValueError(f"{name} must be >= 1, got {v}")
-    return 100.0 * (16 * dim * dim + 16) / (rows * cols * bits)
+    return 100.0 * side_info_bits(dim) / (rows * cols * bits)
 
 
 def record_side_bytes(dim: int) -> int:

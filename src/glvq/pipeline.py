@@ -24,23 +24,13 @@ class RunConfig(codebook.FitConfig):
     bit_alloc: bool = True
 
     def validate(self) -> None:
+        super().validate()
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.bits < 1.0 or self.bits > 8.0:
             raise ValueError(f"bits must lie in [1, 8], got {self.bits}")
         if self.group_width < 1:
             raise ValueError(f"group_width must be >= 1, got {self.group_width}")
-        if self.rounding not in ("babai", "gcd"):
-            raise ValueError(f"rounding must be babai or gcd, got {self.rounding!r}")
-        for name in ("eta_basis", "eta_mu", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not 0 < self.sigma_min < self.sigma_max:
-            raise ValueError("need 0 < sigma_min < sigma_max")
 
 
 @dataclass
@@ -48,7 +38,6 @@ class QuantizeResult:
     records: list  # (GroupCodec, codes) per group, in column order
     spans: list  # (start, stop) column span per group
     bits: np.ndarray
-    allocation: bitalloc.BitAllocation | None
     reports: list = field(default_factory=list)
 
     def archive_bytes(self) -> bytes:
@@ -87,7 +76,6 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
     groups = [w[:, a:b] for a, b in spans]
     n_groups = len(groups)
 
-    allocation = None
     if config.bit_alloc and n_groups >= 2:
         probe_bits = max(1, int(math.floor(config.bits + 0.5)))
         salience = bitalloc.compute_salience(groups, x, probe_bits)
@@ -99,10 +87,9 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
                                    for g, b in zip(groups, bit_vec)])
                 return w_hat @ x
 
-            allocation = bitalloc.allocate_bits(salience, config.bits, probe, ref)
+            bits = bitalloc.allocate_bits(salience, config.bits, probe, ref).bits
         else:
-            allocation = bitalloc.allocate_bits(salience, config.bits)
-        bits = allocation.bits
+            bits = bitalloc.allocate_bits(salience, config.bits).bits
     else:
         if not _is_integer_target(config.bits):
             raise ValueError(
@@ -116,7 +103,7 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
         records.append((codec, codes))
         reports.append(report)
     return QuantizeResult(records=records, spans=spans, bits=np.asarray(bits),
-                          allocation=allocation, reports=reports)
+                          reports=reports)
 
 
 def metrics(weights, w_hat, calib) -> dict:
@@ -147,7 +134,7 @@ def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
             f"calib feature dim {x.shape[0]} does not match weight columns {w.shape[1]}")
     total_weights = sum(g.codec.rows * g.codec.cols for g in archive)
     code_bits = sum(g.codec.bits * g.codec.rows * g.codec.cols for g in archive)
-    side_bits = sum(16 * g.codec.dim**2 + 16 for g in archive)  # bits
+    side_bits = sum(container.side_info_bits(g.codec.dim) for g in archive)
     side_actual = sum(container.record_side_bytes(g.codec.dim) for g in archive)
     return {
         **metrics(w, w_hat, x),

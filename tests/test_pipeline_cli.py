@@ -1,3 +1,9 @@
+import argparse
+import csv
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -302,13 +308,56 @@ def test_run_flags_fill_every_run_config_field():
         "quantize", "w.f32", "x.f32", "--out", "a.glvq", "--dim", "4",
         "--bits", "3.5", "--group-width", "64", "--no-bit-alloc",
         "--no-companding", "--fixed-basis", "--rounding", "gcd",
-        "--eta-basis", "0.002", "--eta-mu", "0.3", "--tol", "1e-5",
-        "--max-iters", "7", "--lam", "0.5", "--sigma-min", "0.05",
-        "--sigma-max", "4.0"])
+        "--tol", "1e-5", "--max-iters", "7"])
     assert cli._run_config(args) == pipeline.RunConfig(
         dim=4, bits=3.5, group_width=64, bit_alloc=False, companding=False,
-        fixed_basis=True, rounding="gcd", eta_basis=0.002, eta_mu=0.3,
-        tol=1e-5, max_iters=7, lam=0.5, sigma_min=0.05, sigma_max=4.0)
+        fixed_basis=True, rounding="gcd", tol=1e-5, max_iters=7)
+    assert ({f.name for f in dataclasses.fields(pipeline.RunConfig)}
+            == {name for _, name, _ in cli._RUN_FLAGS})
+
+
+@pytest.mark.parametrize(
+    "flag", ["--eta-basis", "--eta-mu", "--lam", "--sigma-min", "--sigma-max"])
+def test_quantize_rejects_optimizer_constant_flags(tmp_path, flag):
+    # step sizes, anchor weight and singular-value range are constants
+    rng = np.random.default_rng(12)
+    wpath = write_pair(tmp_path, "w", rng.standard_normal((8, 16)))
+    xpath = write_pair(tmp_path, "x", rng.standard_normal((16, 4)))
+    with pytest.raises(SystemExit) as exc:
+        run(["quantize", wpath, xpath, "--out", tmp_path / "a.glvq",
+             "--dim", 2, "--group-width", 8, flag, "0.5"] + FAST)
+    assert exc.value.code == 2
+    assert not (tmp_path / "a.glvq").exists()
+
+
+def test_report_side_info_matches_archive(tmp_path):
+    rng = np.random.default_rng(8)
+    wpath = write_pair(tmp_path, "w", rng.standard_normal((32, 128)))
+    xpath = write_pair(tmp_path, "x", rng.standard_normal((128, 16)))
+    arch, rep = tmp_path / "a.glvq", tmp_path / "r.csv"
+    assert run(["quantize", wpath, xpath, "--out", arch, "--report", rep,
+                "--dim", 4, "--group-width", 32, "--bits", 2] + FAST) == 0
+    parsed = container.read_archive(arch.read_bytes())
+    with open(rep, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(parsed)
+    for row, group in zip(rows, parsed):
+        assert float(row["mu"]) == group.codec.mu
+        assert float(row["scale"]) == group.codec.scale
+
+
+def test_readme_quantize_synopsis_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the synopsis runs from "glvq quantize" to the first line without a
+    # trailing backslash
+    match = re.search(r"^glvq quantize .*?(?<!\\)$", readme,
+                      re.MULTILINE | re.DOTALL)
+    documented = set(re.findall(r"--[a-z][a-z-]*", match.group(0)))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["quantize"]._actions
+               for s in a.option_strings} - {"-h", "--help"}
+    assert documented == options
 
 
 def test_cli_invalid_config_is_usage_error(tmp_path):
@@ -382,6 +431,14 @@ def test_cli_ablate_companding_gaussian_emits_csv(capsys):
     assert {"preset", "seed", "arm", "output_mse"} <= set(header)
     csv_lines = [l for l in all_lines if l.count(",") == len(header) - 1]
     assert len(csv_lines) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("flag,value", [("--max-iters", 0), ("--tol", -1)])
+def test_cli_ablate_invalid_config_is_usage_error(tmp_path, flag, value):
+    out = tmp_path / "r.csv"
+    assert run(["ablate", "--preset", "rounding", "--seeds", 1, flag, value,
+                "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_cli_ablate_unknown_preset():
