@@ -16,29 +16,26 @@ groups = [s * rng.standard_normal((32, 16)) for s in scales]
 w = np.hstack(groups)
 x = rng.standard_normal((w.shape[1], 64))
 
-sal = compute_salience(groups, x, probe_bits=2)
-print("salience scores:", np.round(sal.scores, 1))
-print("descending order:", sal.order)
+scores = compute_salience(groups, x, probe_bits=2)
+order = np.argsort(-scores, kind="stable")
+print("salience scores:", np.round(scores, 1))
+print("descending order:", order)
 
-# The KL objective compares softmax-normalized layer outputs.
+# The KL objective compares softmax-normalized layer outputs; the probe
+# quantizes each group by round-to-nearest at its candidate width.
 ref = w @ x
-
-
-def probe(bits):
-    w_hat = np.hstack([rtn_quantize(g, int(b)) for g, b in zip(groups, bits)])
-    return w_hat @ x
-
-
 print("\nk  objective D(k)   (k groups promoted to 3 bits, k demoted to 1)")
 for k in range(len(groups) // 2 + 1):
-    d = kl_objective(ref, probe(balanced_bits(sal.order, 2, k)))
-    print(f"{k}  {d:.6f}")
+    bits = balanced_bits(order, 2, k)
+    w_hat = np.hstack([rtn_quantize(g, int(b)) for g, b in zip(groups, bits)])
+    print(f"{k}  {kl_objective(ref, w_hat @ x):.6f}")
 
-alloc = allocate_bits(sal, 2, probe, ref)
-print("\nchosen allocation:", alloc.bits, " mean =", alloc.bits.mean())
-print("promoted:", (alloc.bits == 3).sum(), " demoted:", (alloc.bits == 1).sum())
+# allocate_bits runs the ranking and this search itself.
+bits = allocate_bits(groups, x, 2)
+print("\nchosen allocation:", bits, " mean =", bits.mean())
+print("promoted:", (bits == 3).sum(), " demoted:", (bits == 1).sum())
 
 # Fractional targets mix two adjacent widths; no search involved.
 for target in (1.5, 2.25):
-    a = allocate_bits(sal, target)
-    print(f"target {target}: bits {a.bits} mean {a.bits.mean()}")
+    bits = allocate_bits(groups, x, target)
+    print(f"target {target}: bits {bits} mean {bits.mean()}")

@@ -6,46 +6,23 @@ integer target N the top-k groups get N+1 bits and the bottom-k get N-1
 (so the mean stays exactly N and the +1/-1 sets are balanced), with k
 chosen to minimize a softmax-KL objective between the reference and
 quantized layer outputs.  Fractional targets mix floor/ceil widths with
-no search.
+no search.  ``allocate_bits`` makes the whole decision; the other
+functions are its parts.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import rtn_quantize
 
 
-@dataclass
-class SalienceScores:
-    """Nonnegative per-group scores with a stable descending order."""
-
-    scores: np.ndarray
-    order: np.ndarray
-
-    @classmethod
-    def from_scores(cls, scores) -> "SalienceScores":
-        s = np.asarray(scores, dtype=float)
-        if s.ndim != 1:
-            raise ValueError("scores must be a 1-D vector")
-        if not np.all(np.isfinite(s)) or np.any(s < 0):
-            raise ValueError("scores must be finite and nonnegative")
-        order = np.argsort(-s, kind="stable")
-        return cls(scores=s, order=order)
-
-    def __len__(self) -> int:
-        return self.scores.size
+def is_integer_target(bits: float) -> bool:
+    """Whether a mean-rate target is an integer, to within 1e-9."""
+    return abs(bits - round(bits)) < 1e-9
 
 
-@dataclass
-class BitAllocation:
-    """Per-group integer bit-widths."""
-
-    bits: np.ndarray
-
-
-def compute_salience(groups, calib, probe_bits: int = 2) -> SalienceScores:
+def compute_salience(groups, calib, probe_bits: int = 2) -> np.ndarray:
     """Score each column group by ||(W_g - RTN_b(W_g)) X_g||_F^2.
 
     ``groups`` are column-contiguous slices of one weight matrix in
@@ -67,7 +44,7 @@ def compute_salience(groups, calib, probe_bits: int = 2) -> SalienceScores:
         delta = (w - rtn_quantize(w, probe_bits)) @ xg
         scores[i] = float((delta * delta).sum())
         off += w.shape[1]
-    return SalienceScores.from_scores(scores)
+    return scores
 
 
 def _col_log_softmax(a: np.ndarray) -> np.ndarray:
@@ -135,38 +112,40 @@ def argmin_balanced_k(objective, k_max: int, method: str = "auto") -> int:
     raise ValueError(f"unknown search method {method!r}")
 
 
-def allocate_bits(salience: SalienceScores, target, quantize_probe=None,
-                  reference_out=None, method: str = "auto") -> BitAllocation:
-    """Assign per-group bit-widths meeting a mean-rate target.
+def allocate_bits(groups, calib, target) -> np.ndarray:
+    """Per-group bit-widths for column ``groups`` of one weight matrix
+    (in order, as in compute_salience) meeting a mean-rate target.
 
-    Integer targets N >= 2: search the balanced swap count k, where
-    ``quantize_probe(bits)`` returns the quantized layer output to score
-    against ``reference_out`` with the KL objective.  Fractional targets
-    assign ceil(R) bits to the round((R - floor(R)) * G) most salient
-    groups and floor(R) to the rest; no probe is needed.
+    Groups are ranked by compute_salience at the target rounded to the
+    nearest width (at least 1), ties broken by index.  Integer targets
+    N >= 2: search the balanced swap count k, scoring each candidate by
+    the KL objective of the RTN-quantized layer output
+    ``hstack(RTN_b(W_g)) @ calib`` against ``W @ calib``.  Fractional
+    targets give ceil(R) bits to the round((R - floor(R)) * G) most
+    salient groups and floor(R) to the rest, with no search.
     """
-    g = len(salience)
+    g = len(groups)
     if g < 2:
         raise ValueError("allocation needs at least 2 groups")
     target = float(target)
-    if abs(target - round(target)) < 1e-9:
-        n = int(round(target))
-        if n - 1 < 1:
-            raise ValueError(f"integer target {n} infeasible: needs N - 1 >= 1")
-        if quantize_probe is None or reference_out is None:
-            raise ValueError("integer targets need quantize_probe and reference_out")
-        ref = np.asarray(reference_out, dtype=float)
-
-        def objective(k):
-            return kl_objective(ref, quantize_probe(balanced_bits(salience.order, n, k)))
-
-        k = argmin_balanced_k(objective, g // 2, method)
-        bits = balanced_bits(salience.order, n, k)
-    else:
-        lo = math.floor(target)
-        if lo < 1:
-            raise ValueError(f"fractional target {target} infeasible: floor must be >= 1")
-        count = int(math.floor((target - lo) * g + 0.5))
+    integer = is_integer_target(target)
+    lo = round(target) - 1 if integer else math.floor(target)  # narrowest width
+    if lo < 1:
+        raise ValueError(f"target {target:g} infeasible: it needs {lo}-bit groups")
+    x = np.asarray(calib, dtype=float)
+    scores = compute_salience(groups, x, max(1, math.floor(target + 0.5)))
+    order = np.argsort(-scores, kind="stable")
+    if not integer:
         bits = np.full(g, lo, dtype=np.int64)
-        bits[salience.order[:count]] = lo + 1
-    return BitAllocation(bits=bits)
+        bits[order[:math.floor((target - lo) * g + 0.5)]] = lo + 1
+        return bits
+
+    n = lo + 1
+    ref = np.hstack(groups) @ x
+
+    def objective(k):
+        w_hat = np.hstack([rtn_quantize(w, int(b))
+                           for w, b in zip(groups, balanced_bits(order, n, k))])
+        return kl_objective(ref, w_hat @ x)
+
+    return balanced_bits(order, n, argmin_balanced_k(objective, g // 2))

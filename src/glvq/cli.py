@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import codebook, container, pipeline, synthetic
+from . import bitalloc, container, pipeline, synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,7 +76,6 @@ _RUN_FLAGS = (
     ("--no-companding", "companding", {"help": "disable the mu-law stage"}),
     ("--fixed-basis", "fixed_basis",
      {"help": "keep a scaled identity basis instead of learning one"}),
-    ("--rounding", "rounding", {"choices": ("babai", "gcd")}),
     ("--tol", "tol", {}),
     ("--max-iters", "max_iters", {}),
 )
@@ -175,13 +174,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if abs(args.bits - round(args.bits)) > 1e-9:
-        raise ValueError("ablation presets use integer bit-widths")
-    cfg = codebook.FitConfig(max_iters=args.max_iters, tol=args.tol)
+    cfg = pipeline.RunConfig(dim=args.dim, bits=args.bits,
+                             max_iters=args.max_iters, tol=args.tol)
     cfg.validate()
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
+    if not bitalloc.is_integer_target(args.bits):
+        raise ValueError("ablation presets use integer bit-widths")
     rows, summaries = synthetic.run_ablation(
         args.preset, seeds=args.seeds, source=args.source, dim=args.dim,
-        bits=int(round(args.bits)), base_seed=args.seed, config=cfg)
+        bits=round(args.bits), base_seed=args.seed, config=cfg)
     fieldnames = sorted({k for r in rows for k in r})
     # stable, readable column order
     lead = [c for c in ("preset", "seed", "arm", "mean_bits") if c in fieldnames]

@@ -58,11 +58,8 @@ class FitConfig:
     max_iters: int = 200
     companding: bool = True
     fixed_basis: bool = False
-    rounding: str = "babai"  # "babai" | "gcd"
 
     def validate(self) -> None:
-        if self.rounding not in ("babai", "gcd"):
-            raise ValueError(f"rounding must be babai or gcd, got {self.rounding!r}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -305,14 +302,6 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
                       pad=pad, rows=rows, cols=cols)
 
 
-def _quantize(latent, codec, cfg: FitConfig):
-    if cfg.rounding == "gcd":
-        return gcd_quantize_columns(latent, codec)
-    if cfg.rounding == "babai":
-        return quantize_columns(latent, codec)
-    raise ValueError(f"unknown rounding mode {cfg.rounding!r}")
-
-
 @dataclass
 class _StepSize:
     """Backtracking state of one learned parameter's step size."""
@@ -378,7 +367,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
 
     # the latent depends on mu and scale only, so basis steps reuse it
     latent = _latent_of(w, codec)
-    codes = _quantize(latent, codec, cfg)
+    codes = quantize_columns(latent, codec)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
     g_b, g_m = _hessian_grads(codec, terms, LAM)
     report.loss_history.append(loss)
@@ -386,7 +375,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     def propose(cand_and_latent):
         report.proposals += 1
         cand, cand_lat = cand_and_latent
-        cand_codes = _quantize(cand_lat, cand, cfg)
+        cand_codes = quantize_columns(cand_lat, cand)
         cand_loss, cand_terms = _hessian_loss(w, hess, cand, cand_codes,
                                               basis_init, LAM)
         return cand_loss, (cand, cand_lat, cand_codes, cand_terms)

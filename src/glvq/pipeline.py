@@ -5,7 +5,6 @@ salience-driven bit allocation, fits every group's codec, and assembles
 archive records plus evaluation metrics.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +52,6 @@ def partition_columns(cols: int, width: int):
     return [(a, min(a + width, cols)) for a in range(0, cols, width)]
 
 
-def _is_integer_target(bits: float) -> bool:
-    return abs(bits - round(bits)) < 1e-9
-
-
 def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
     """Run the two-stage pipeline: allocate bit-widths, then fit groups."""
     config.validate()
@@ -77,24 +72,11 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
     n_groups = len(groups)
 
     if config.bit_alloc and n_groups >= 2:
-        probe_bits = max(1, int(math.floor(config.bits + 0.5)))
-        salience = bitalloc.compute_salience(groups, x, probe_bits)
-        if _is_integer_target(config.bits):
-            ref = w @ x
-
-            def probe(bit_vec):
-                w_hat = np.hstack([codebook.rtn_quantize(g, int(b))
-                                   for g, b in zip(groups, bit_vec)])
-                return w_hat @ x
-
-            bits = bitalloc.allocate_bits(salience, config.bits, probe, ref).bits
-        else:
-            bits = bitalloc.allocate_bits(salience, config.bits).bits
+        bits = bitalloc.allocate_bits(groups, x, config.bits)
+    elif bitalloc.is_integer_target(config.bits):
+        bits = np.full(n_groups, round(config.bits), dtype=np.int64)
     else:
-        if not _is_integer_target(config.bits):
-            raise ValueError(
-                "fractional bit targets need bit allocation over >= 2 groups")
-        bits = np.full(n_groups, int(round(config.bits)), dtype=np.int64)
+        raise ValueError("fractional bit targets need bit allocation over >= 2 groups")
 
     records, reports = [], []
     for (a, b), g, bg in zip(spans, groups, bits):
@@ -102,8 +84,7 @@ def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
             g, x[a:b, :], dim=config.dim, bits=int(bg), config=config)
         records.append((codec, codes))
         reports.append(report)
-    return QuantizeResult(records=records, spans=spans, bits=np.asarray(bits),
-                          reports=reports)
+    return QuantizeResult(records=records, spans=spans, bits=bits, reports=reports)
 
 
 def metrics(weights, w_hat, calib) -> dict:

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from glvq import cli, companding, container, pipeline, synthetic
-from glvq.bitalloc import (SalienceScores, allocate_bits, argmin_balanced_k,
-                           balanced_bits)
+from glvq.bitalloc import allocate_bits, argmin_balanced_k, balanced_bits
 from glvq.codebook import (FitConfig, GroupCodec, fit_group, grad_basis,
                            grad_mu, group_loss, init_codec, quantize_columns,
                            reconstruct, reshape_group)
@@ -246,29 +245,32 @@ def test_criterion_7d_glvq_beats_rtn():
 
 def test_criterion_8_bit_allocation_constraints():
     rng = np.random.default_rng(1008)
+
+    def layer(g):
+        groups = [4.0 ** rng.uniform(-1, 1) * rng.standard_normal((8, 4))
+                  for _ in range(g)]
+        return groups, rng.standard_normal((4 * g, 16))
+
+    def balanced_ok(bits, n):
+        return (bits.mean() == n
+                and (bits == n + 1).sum() == (bits == n - 1).sum()
+                and set(np.unique(bits)) <= {n - 1, n, n + 1})
+
     ok = True
-    # integer targets: exact mean and balance
+    # integer targets: exact mean and balance, for the searched allocation
+    # and for every swap count k the search can pick
     for n in (2, 3, 4):
         for g in (4, 10, 64):
-            sal = SalienceScores.from_scores(rng.uniform(0, 1, size=g))
-            k_star = int(rng.integers(0, g // 2 + 1))
-
-            def probe(bits, k_star=k_star, sal=sal, n=n):
-                k = int((bits == n + 1).sum())
-                col = np.full(len(bits), 1.0 + (k - k_star) ** 2)
-                col[0] = 0.0
-                return col[:, None]
-
-            alloc = allocate_bits(sal, n, probe, np.zeros((g, 1)))
-            bits = alloc.bits
-            ok &= bits.mean() == n
-            ok &= (bits == n + 1).sum() == (bits == n - 1).sum()
-            ok &= set(np.unique(bits)) <= {n - 1, n, n + 1}
+            groups, x = layer(g)
+            ok &= balanced_ok(allocate_bits(groups, x, n), n)
+            order = rng.permutation(g)
+            ok &= all(balanced_ok(balanced_bits(order, n, k), n)
+                      for k in range(g // 2 + 1))
     # fractional target over 64 groups
-    sal = SalienceScores.from_scores(rng.uniform(0, 1, size=64))
-    alloc = allocate_bits(sal, 1.5)
-    frac_ok = (abs(alloc.bits.mean() - 1.5) <= 1 / (2 * 64)
-               and set(np.unique(alloc.bits)) <= {1, 2})
+    groups, x = layer(64)
+    bits = allocate_bits(groups, x, 1.5)
+    frac_ok = (abs(bits.mean() - 1.5) <= 1 / (2 * 64)
+               and set(np.unique(bits)) <= {1, 2})
     ok &= frac_ok
     # binary search equals exhaustive scan on unimodal objectives
     search_ok = True

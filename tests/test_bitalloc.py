@@ -3,17 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from glvq.bitalloc import (BitAllocation, SalienceScores, allocate_bits,
-                           argmin_balanced_k, balanced_bits, compute_salience,
-                           kl_objective)
+from glvq.bitalloc import (allocate_bits, argmin_balanced_k, balanced_bits,
+                           compute_salience, kl_objective)
 from glvq.codebook import rtn_quantize
 
 
-def check_integer_invariants(alloc: BitAllocation, n: int):
-    bits = alloc.bits
+def check_integer_invariants(bits: np.ndarray, n: int):
     assert set(np.unique(bits)) <= {n - 1, n, n + 1}
     assert bits.mean() == n
     assert (bits == n + 1).sum() == (bits == n - 1).sum()
+
+
+def salience_order(groups, x, probe_bits):
+    return np.argsort(-compute_salience(groups, x, probe_bits), kind="stable")
+
+
+def rtn_objective(groups, x, order, n):
+    """D(k): the KL objective allocate_bits minimizes, from public parts."""
+    ref = np.hstack(groups) @ x
+
+    def d(k):
+        w_hat = np.hstack([rtn_quantize(g, int(b))
+                           for g, b in zip(groups, balanced_bits(order, n, k))])
+        return kl_objective(ref, w_hat @ x)
+
+    return d
 
 
 # ---------------------------------------------------------------- salience
@@ -22,7 +36,7 @@ def test_salience_zero_for_representable_group():
     w = np.array([[1.0, -1.0], [0.0, 1.0]])  # exactly on the 2-bit RTN grid
     x = np.eye(2)
     scores = compute_salience([w], x, probe_bits=2)
-    assert scores.scores[0] == 0.0
+    assert scores[0] == 0.0
 
 
 def test_salience_scaling_preserves_order():
@@ -31,8 +45,9 @@ def test_salience_scaling_preserves_order():
     x = rng.standard_normal((12, 16))
     s1 = compute_salience(groups, x, 2)
     s2 = compute_salience(groups, 10.0 * x, 2)
-    assert np.allclose(s2.scores, 100.0 * s1.scores, rtol=1e-9)
-    assert np.array_equal(s1.order, s2.order)
+    assert np.allclose(s2, 100.0 * s1, rtol=1e-9)
+    assert np.array_equal(salience_order(groups, x, 2),
+                          salience_order(groups, 10.0 * x, 2))
 
 
 def test_salience_ties_break_by_index():
@@ -41,20 +56,13 @@ def test_salience_ties_break_by_index():
     xb = rng.standard_normal((3, 5))
     x = np.vstack([xb, xb])  # both groups see identical features
     scores = compute_salience([g, g], x, 2)
-    assert scores.scores[0] == scores.scores[1]
-    assert np.array_equal(scores.order, [0, 1])
+    assert scores[0] == scores[1]
+    assert np.array_equal(allocate_bits([g, g], x, 1.5), [2, 1])
 
 
 def test_salience_dimension_mismatch():
     with pytest.raises(ValueError):
         compute_salience([np.ones((4, 3))], np.ones((5, 2)), 2)
-
-
-def test_salience_scores_validated():
-    with pytest.raises(ValueError):
-        SalienceScores.from_scores(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        SalienceScores.from_scores(np.array([np.inf, 0.0]))
 
 
 # ---------------------------------------------------------------------- kl
@@ -125,94 +133,78 @@ def test_argmin_constant_objective_returns_zero():
 
 # -------------------------------------------------------------- allocation
 
-def _probe_for(saliences, weights_rows=None):
-    """Probe whose output perturbation shrinks as 2^-b per group."""
-    g = len(saliences)
-
-    def probe(bits):
-        col = np.array([saliences[i] * 2.0 ** (-float(bits[i]))
-                        for i in range(g)])
-        return col[:, None]
-
-    return probe
-
-
 def test_allocate_integer_hand_case():
-    sal = SalienceScores.from_scores(np.array([9.0, 5.0, 3.0, 1.0]))
-    ref = np.zeros((4, 1))
-    probe = _probe_for([9.0, 5.0, 3.0, 1.0])
+    rng = np.random.default_rng(7)
+    groups = [s * rng.standard_normal((16, 8)) for s in (8.0, 4.0, 2.0, 1.0)]
+    x = rng.standard_normal((32, 24))
+    order = salience_order(groups, x, 2)
+    assert np.array_equal(order, [0, 1, 2, 3])
     # oracle: exhaustive scan of the same objective
-    def objective(k):
-        return kl_objective(ref, probe(balanced_bits(sal.order, 2, k)))
-
-    ks = [objective(k) for k in range(3)]
-    assert int(np.argmin(ks)) == 1  # frozen: k = 1 is optimal here
-    alloc = allocate_bits(sal, 2, probe, ref, method="exhaustive")
-    assert np.array_equal(alloc.bits, [3, 2, 2, 1])
-    check_integer_invariants(alloc, 2)
-    alloc_b = allocate_bits(sal, 2, probe, ref, method="binary")
-    assert np.array_equal(alloc_b.bits, alloc.bits)
+    d = rtn_objective(groups, x, order, 2)
+    ks = [d(k) for k in range(3)]
+    assert int(np.argmin(ks)) == 2  # frozen: k = 2 is optimal here
+    bits = allocate_bits(groups, x, 2)
+    assert np.array_equal(bits, [3, 3, 1, 1])
+    check_integer_invariants(bits, 2)
 
 
 def test_allocate_equal_saliences_stays_uniform():
-    sal = SalienceScores.from_scores(np.ones(6))
-    ref = np.zeros((6, 1))
-    probe = _probe_for([1.0] * 6)
-    alloc = allocate_bits(sal, 3, probe, ref)
-    assert np.array_equal(alloc.bits, np.full(6, 3))
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((16, 8))
+    xb = rng.standard_normal((8, 24))
+    groups, x = [g] * 4, np.vstack([xb] * 4)
+    scores = compute_salience(groups, x, 3)
+    assert np.all(scores == scores[0])
+    assert np.array_equal(allocate_bits(groups, x, 3), np.full(4, 3))
 
 
 def test_allocate_fractional():
-    sal = SalienceScores.from_scores(np.array([4.0, 3.0, 2.0, 1.0]))
-    alloc = allocate_bits(sal, 1.5)
-    assert np.array_equal(alloc.bits, [2, 2, 1, 1])
-    assert alloc.bits.mean() == 1.5
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((8, 4))
+    xb = rng.standard_normal((4, 16))
+    # scaled copies of one group: salience falls with the scale
+    groups = [s * g for s in (4.0, 3.0, 2.0, 1.0)]
+    bits = allocate_bits(groups, np.vstack([xb] * 4), 1.5)
+    assert np.array_equal(bits, [2, 2, 1, 1])
+    assert bits.mean() == 1.5
 
 
 def test_allocate_fractional_large_group():
     rng = np.random.default_rng(5)
-    sal = SalienceScores.from_scores(rng.uniform(0, 1, size=64))
+    groups = [s * rng.standard_normal((4, 2)) for s in rng.uniform(0, 1, size=64)]
+    x = rng.standard_normal((128, 8))
     for target in (1.5, 2.3, 3.75):
-        alloc = allocate_bits(sal, target)
-        assert set(np.unique(alloc.bits)) <= {math.floor(target),
-                                              math.ceil(target)}
-        assert abs(alloc.bits.mean() - target) <= 1.0 / (2 * 64)
+        bits = allocate_bits(groups, x, target)
+        assert set(np.unique(bits)) <= {math.floor(target), math.ceil(target)}
+        assert abs(bits.mean() - target) <= 1.0 / (2 * 64)
 
 
 def test_allocate_infeasible_targets():
-    sal = SalienceScores.from_scores(np.array([2.0, 1.0]))
+    rng = np.random.default_rng(10)
+    groups = [rng.standard_normal((4, 2)) for _ in range(2)]
+    x = rng.standard_normal((4, 3))
     with pytest.raises(ValueError):
-        allocate_bits(sal, 1, lambda b: np.zeros((2, 1)), np.zeros((2, 1)))
+        allocate_bits(groups, x, 1)
     with pytest.raises(ValueError):
-        allocate_bits(sal, 0.5)
+        allocate_bits(groups, x, 0.5)
     with pytest.raises(ValueError):
-        allocate_bits(SalienceScores.from_scores(np.array([1.0])), 2)
+        allocate_bits(groups[:1], x[:2], 2)
 
 
 def test_allocate_binary_matches_exhaustive_with_rtn_probe():
-    # end-to-end probe built from RTN outputs; objective observed unimodal
     rng = np.random.default_rng(6)
     groups = [rng.standard_normal((16, 8)) * s
               for s in (8.0, 4.0, 2.0, 1.0, 0.5, 0.25)]
-    w = np.hstack(groups)
     x = rng.standard_normal((48, 32))
-    sal = compute_salience(groups, x, 2)
-    ref = w @ x
-
-    def probe(bits):
-        w_hat = np.hstack([rtn_quantize(g, int(b))
-                           for g, b in zip(groups, bits)])
-        return w_hat @ x
-
-    def objective(k):
-        return kl_objective(ref, probe(balanced_bits(sal.order, 2, k)))
-
-    vals = [objective(k) for k in range(len(groups) // 2 + 1)]
-    unimodal = np.all(np.diff(vals[:int(np.argmin(vals)) + 1]) <= 0) and \
-        np.all(np.diff(vals[int(np.argmin(vals)):]) >= 0)
-    a = allocate_bits(sal, 2, probe, ref, method="exhaustive")
-    b = allocate_bits(sal, 2, probe, ref, method="binary")
-    if unimodal:
-        assert np.array_equal(a.bits, b.bits)
-    check_integer_invariants(a, 2)
-    check_integer_invariants(b, 2)
+    order = salience_order(groups, x, 2)
+    d = rtn_objective(groups, x, order, 2)
+    vals = [d(k) for k in range(len(groups) // 2 + 1)]
+    k_min = int(np.argmin(vals))
+    # frozen: this layer's objective is unimodal, so binary search applies
+    assert np.all(np.diff(vals[:k_min + 1]) <= 0)
+    assert np.all(np.diff(vals[k_min:]) >= 0)
+    k_bin = argmin_balanced_k(d, len(groups) // 2, "binary")
+    assert k_bin == argmin_balanced_k(d, len(groups) // 2, "exhaustive") == k_min
+    bits = allocate_bits(groups, x, 2)
+    assert np.array_equal(bits, balanced_bits(order, 2, k_min))
+    check_integer_invariants(bits, 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glvq import cli, container, pipeline
+from glvq import cli, container, pipeline, synthetic
 from glvq.codebook import GroupCodec, quantize_columns, reconstruct, reshape_group
 from glvq import companding
 
@@ -57,6 +57,31 @@ def test_quantize_matrix_fractional_target():
     result = pipeline.quantize_matrix(w, x, cfg)
     assert set(np.unique(result.bits)) == {1, 2}
     assert result.mean_bits() == 1.5
+
+
+# Widths quantize_matrix picks on synthetic.make_layer(seed) for seeds 0-4,
+# frozen: a change to the salience ranking, the RTN probe or the swap
+# search that moves any width fails here.
+PINNED_BITS = {
+    2.0: [[1, 1, 1, 1, 3, 3, 3, 3], [3, 3, 1, 3, 1, 1, 3, 1],
+          [3, 1, 3, 1, 3, 3, 1, 1], [1, 1, 3, 3, 1, 3, 3, 1],
+          [3, 2, 3, 1, 2, 1, 3, 1]],
+    3.0: [[3, 2, 2, 2, 4, 4, 3, 4], [4, 4, 2, 4, 2, 2, 4, 2],
+          [3, 3, 4, 2, 4, 4, 2, 2], [2, 2, 4, 4, 2, 4, 4, 2],
+          [4, 2, 4, 2, 4, 2, 4, 2]],
+    1.5: [[1, 1, 1, 1, 2, 2, 2, 2], [2, 2, 1, 2, 1, 1, 2, 1],
+          [2, 1, 2, 1, 2, 2, 1, 1], [1, 1, 2, 2, 1, 2, 2, 1],
+          [2, 1, 2, 1, 2, 1, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_BITS))
+def test_quantize_matrix_bits_pinned(target):
+    cfg = pipeline.RunConfig(bits=target, group_width=synthetic.SUITE_GROUP_COLS,
+                             max_iters=1)
+    for seed, expected in enumerate(PINNED_BITS[target]):
+        w, x = synthetic.make_layer(seed)
+        assert pipeline.quantize_matrix(w, x, cfg).bits.tolist() == expected
 
 
 def test_quantize_matrix_fractional_needs_allocation():
@@ -307,25 +332,27 @@ def test_run_flags_fill_every_run_config_field():
     args = parser.parse_args([
         "quantize", "w.f32", "x.f32", "--out", "a.glvq", "--dim", "4",
         "--bits", "3.5", "--group-width", "64", "--no-bit-alloc",
-        "--no-companding", "--fixed-basis", "--rounding", "gcd",
-        "--tol", "1e-5", "--max-iters", "7"])
+        "--no-companding", "--fixed-basis", "--tol", "1e-5", "--max-iters", "7"])
     assert cli._run_config(args) == pipeline.RunConfig(
         dim=4, bits=3.5, group_width=64, bit_alloc=False, companding=False,
-        fixed_basis=True, rounding="gcd", tol=1e-5, max_iters=7)
+        fixed_basis=True, tol=1e-5, max_iters=7)
     assert ({f.name for f in dataclasses.fields(pipeline.RunConfig)}
             == {name for _, name, _ in cli._RUN_FLAGS})
 
 
-@pytest.mark.parametrize(
-    "flag", ["--eta-basis", "--eta-mu", "--lam", "--sigma-min", "--sigma-max"])
-def test_quantize_rejects_optimizer_constant_flags(tmp_path, flag):
-    # step sizes, anchor weight and singular-value range are constants
+@pytest.mark.parametrize("option", [
+    ["--eta-basis", "0.5"], ["--eta-mu", "0.5"], ["--lam", "0.5"],
+    ["--sigma-min", "0.5"], ["--sigma-max", "0.5"], ["--rounding", "babai"],
+], ids=lambda option: option[0])
+def test_quantize_rejects_optimizer_constant_flags(tmp_path, option):
+    # step sizes, anchor weight and singular-value range are constants, and
+    # the optimizer always assigns codes by Babai rounding
     rng = np.random.default_rng(12)
     wpath = write_pair(tmp_path, "w", rng.standard_normal((8, 16)))
     xpath = write_pair(tmp_path, "x", rng.standard_normal((16, 4)))
     with pytest.raises(SystemExit) as exc:
         run(["quantize", wpath, xpath, "--out", tmp_path / "a.glvq",
-             "--dim", 2, "--group-width", 8, flag, "0.5"] + FAST)
+             "--dim", 2, "--group-width", 8, *option] + FAST)
     assert exc.value.code == 2
     assert not (tmp_path / "a.glvq").exists()
 
@@ -433,7 +460,9 @@ def test_cli_ablate_companding_gaussian_emits_csv(capsys):
     assert len(csv_lines) == 1 + 2 * 2
 
 
-@pytest.mark.parametrize("flag,value", [("--max-iters", 0), ("--tol", -1)])
+@pytest.mark.parametrize("flag,value", [
+    ("--max-iters", 0), ("--tol", -1), ("--dim", 0), ("--seeds", 0),
+    ("--bits", 9)])
 def test_cli_ablate_invalid_config_is_usage_error(tmp_path, flag, value):
     out = tmp_path / "r.csv"
     assert run(["ablate", "--preset", "rounding", "--seeds", 1, flag, value,
