@@ -224,33 +224,27 @@ def cmd_overhead(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="glvq",
-        description="Grouped lattice vector quantization of weight tensors")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quantize", help="compress a weight tensor into an archive")
+def _quantize_args(p):
     p.add_argument("weights", help="weight tensor (.f32 + .json manifest)")
     p.add_argument("calib", help="calibration features (.f32 + .json manifest)")
     p.add_argument("--out", required=True, help="output .glvq archive path")
     p.add_argument("--report", help="optional per-group CSV report path")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("dequantize", help="decode an archive back to a tensor")
+
+def _dequantize_args(p):
     p.add_argument("archive", help=".glvq archive path")
     p.add_argument("--out", required=True, help="output tensor path")
-    p.set_defaults(func=cmd_dequantize)
 
-    p = sub.add_parser("eval", help="error metrics of an archive vs the original")
+
+def _eval_args(p):
     p.add_argument("original", help="original weight tensor")
     p.add_argument("archive", help=".glvq archive path")
     p.add_argument("calib", help="calibration features")
     p.add_argument("--out", help="optional metrics CSV path")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="paired ablations on the synthetic suite")
+
+def _ablate_args(p):
     p.add_argument("--preset", required=True, choices=synthetic.PRESETS)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--source", choices=synthetic.SOURCES, default="student_t")
@@ -258,22 +252,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("overhead", help="side-information overhead percentages")
+
+def _overhead_args(p):
     p.add_argument("--dim", type=int)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--bits", type=int)
     p.add_argument("--paper-table", action="store_true",
                    help="print the full reference table")
-    p.set_defaults(func=cmd_overhead)
+
+
+# name -> (help line, function adding its arguments, handler), one row per
+# subcommand
+_COMMANDS = {
+    "quantize": ("compress a weight tensor into an archive",
+                 _quantize_args, cmd_quantize),
+    "dequantize": ("decode an archive back to a tensor",
+                   _dequantize_args, cmd_dequantize),
+    "eval": ("error metrics of an archive vs the original",
+             _eval_args, cmd_eval),
+    "ablate": ("paired ablations on the synthetic suite",
+               _ablate_args, cmd_ablate),
+    "overhead": ("side-information overhead percentages",
+                 _overhead_args, cmd_overhead),
+}
+
+
+def _build_command(p, name):
+    _, add_args, func = _COMMANDS[name]
+    add_args(p)
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="glvq",
+        description="Grouped lattice vector quantization of weight tensors")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _build_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse_args(argv):
+    """Parse a command line.  When it starts with a subcommand name only
+    that subcommand's parser is built (the same one build_parser nests,
+    so help and errors read the same); anything else goes to the full
+    tree."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _build_command(
+            argparse.ArgumentParser(prog=f"glvq {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:  # reported by the top-level parser, as the full tree does
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as e:

@@ -292,7 +292,7 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     else:
         cov = lat @ lat.T / lat.shape[1] + COV_RIDGE * np.eye(dim)
         chol = np.linalg.cholesky(cov)
-        coords = np.linalg.solve(chol, lat)
+        coords = np.linalg.inv(chol) @ lat
     q = float(np.percentile(np.abs(coords), 99.0))
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:

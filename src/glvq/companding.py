@@ -99,10 +99,11 @@ def kurtosis(sample, excess: bool = True) -> float:
     if s.size < 4:
         raise ValueError(f"kurtosis needs at least 4 samples, got {s.size}")
     c = s - s.mean()
-    m2 = float(np.mean(c * c))
+    c *= c  # squared deviations, in place
+    m2 = float(np.mean(c))
     if m2 <= 0.0:
         raise DegenerateSampleError("sample has zero variance")
-    m4 = float(np.mean(c**4))
+    m4 = float(np.mean(c * c))  # c**4 would go through libm pow
     k = m4 / m2**2
     return k - 3.0 if excess else k
 

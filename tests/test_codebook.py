@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glvq import codebook, companding
+from glvq import codebook, companding, synthetic
 from glvq.codebook import (FitConfig, GroupCodec, _hessian_loss, code_range,
                            fit_group, gcd_quantize_columns, grad_basis, grad_mu,
                            group_loss, init_codec, quantize_columns,
@@ -330,6 +330,21 @@ def test_init_codec_percentile_limits_clamping():
         lo, hi = code_range(bits)
         clamped = ((raw < lo) | (raw > hi)).mean()
         assert clamped <= 0.02
+
+
+def test_init_codec_matches_lu_solve_form():
+    # init_codec whitens through an explicit inverse of the Cholesky
+    # factor; its basis equals the one an LU solve gives
+    dim, bits = 8, 3
+    for seed in range(10):
+        w, _ = synthetic.make_group(seed)
+        codec = init_codec(w, dim, bits)
+        lat = _latent(w, codec)
+        cov = lat @ lat.T / lat.shape[1] + codebook.COV_RIDGE * np.eye(dim)
+        chol = np.linalg.cholesky(cov)
+        q = np.percentile(np.abs(np.linalg.solve(chol, lat)), 99.0)
+        expected = spectral_normalize(q / (2 ** (bits - 1) - 0.5) * chol)
+        assert np.allclose(codec.basis, expected, rtol=1e-12, atol=0.0)
 
 
 def test_init_codec_preconditions():

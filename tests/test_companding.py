@@ -106,6 +106,19 @@ def test_kurtosis_gaussian_large_sample():
     assert abs(kurtosis(s)) <= 0.05
 
 
+def test_kurtosis_matches_pow_form():
+    # the fourth moment is (c^2)^2 rather than c**4; both forms agree
+    rng = np.random.default_rng(3)
+    samples = (rng.standard_t(4, size=4096 * 128),
+               rng.standard_normal(10**5),
+               rng.choice([-1.0, 1.0], size=10**5))
+    for s in samples:
+        c = s - s.mean()
+        m2 = np.mean(c * c)
+        expected = np.mean(c**4) / m2**2
+        assert kurtosis(s, excess=False) == pytest.approx(expected, rel=1e-13)
+
+
 def test_kurtosis_degenerate():
     with pytest.raises(DegenerateSampleError):
         kurtosis(np.full(10, 3.0))

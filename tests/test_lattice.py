@@ -199,6 +199,28 @@ def test_lattice_points_are_babai_fixed_points():
         assert np.array_equal(babai_round(b, decode(b, z)), z)
 
 
+def test_babai_matches_lu_solve_on_normalized_bases():
+    # babai_round applies an explicit inverse; on every basis the optimizer
+    # can hold (singular values in [0.01, 10]) its codes equal the
+    # LU-solve form's, and lattice points round back to their codes
+    rng = np.random.default_rng(7)
+    d, cols = 8, 1024
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = 10.0 ** rng.uniform(-3.0, 2.0, size=d)
+        s[0], s[-1] = 100.0, 1e-3  # clamped to the range's two ends
+        b = spectral_normalize((u * s) @ v.T)
+        sv = np.linalg.svd(b, compute_uv=False)
+        assert sv[0] == pytest.approx(SIGMA_MAX_DEFAULT)
+        assert sv[-1] == pytest.approx(SIGMA_MIN_DEFAULT)
+        t = rng.standard_normal((d, cols))
+        expected = np.floor(np.linalg.solve(b, t) + 0.5).astype(np.int64)
+        assert np.array_equal(babai_round(b, t), expected)
+        z = rng.integers(-128, 128, size=(d, cols))
+        assert np.array_equal(babai_round(b, decode(b, z)), z)
+
+
 def test_error_bound_identity():
     gs = gram_schmidt(np.eye(2))
     bound = babai_error_bound(gs)

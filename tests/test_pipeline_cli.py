@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from glvq import cli, container, pipeline, synthetic
-from glvq.codebook import GroupCodec, quantize_columns, reconstruct, reshape_group
+from glvq.codebook import (GroupCodec, init_codec, quantize_columns, reconstruct,
+                           reshape_group)
 from glvq import companding
 
 FAST = ["--max-iters", "40"]
@@ -37,6 +38,24 @@ def test_quantize_matrix_balanced_allocation():
     assert (result.bits == 3).sum() == (result.bits == 1).sum()
     w_hat = container.read_archive(result.archive_bytes()).decode_matrix()
     assert w_hat.shape == w.shape
+
+
+def test_encode_path_needs_no_lu_solve(monkeypatch):
+    # Babai rounding and init whitening use explicit d x d inverses; an
+    # LU solve with thousands of right-hand sides must not come back
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve on the encode path")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    w, x = synthetic.make_layer(0, n_groups=2, group_cols=32, calib_T=16)
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=32, max_iters=10)
+    result = pipeline.quantize_matrix(w, x, cfg)
+    assert len(result.records) == 2
+    wg, _ = synthetic.make_group(0)
+    codec = init_codec(wg, 8, 2)
+    lat, _ = reshape_group(wg / codec.scale, 8)
+    codes = quantize_columns(companding.compand(lat, codec.mu), codec)
+    assert codes.shape == lat.shape
 
 
 def test_quantize_matrix_uniform_when_disabled():
@@ -402,6 +421,23 @@ def test_cli_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["quantize"])  # missing required arguments
     assert exc.value.code == 2
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_cli_subcommand_parser_reads_as_full_tree(capsys, name):
+    # main builds only the named subcommand's parser; help and usage
+    # errors must read exactly as the full parser tree's
+    full = cli.build_parser().parse_args
+    for argv in ([name, "--help"], [name, "--no-such-flag"],
+                 [name, "--out", "x", "--no-such-flag", "1"]):
+        assert (_exit_and_output(capsys, run, argv)
+                == _exit_and_output(capsys, full, [str(a) for a in argv]))
 
 
 def test_cli_overhead_single_and_edge(capsys):
