@@ -4,10 +4,11 @@ Groups are ranked by the output perturbation a round-to-nearest probe
 would cause, then bit-widths are assigned around the mean target: for an
 integer target N the top-k groups get N+1 bits and the bottom-k get N-1
 (so the mean stays exactly N and the +1/-1 sets are balanced), with k
-chosen to minimize a softmax-KL objective between the reference and
-quantized layer outputs.  Fractional targets mix floor/ceil widths with
-no search.  ``allocate_bits`` makes the whole decision; the other
-functions are its parts.
+the first minimizer of a softmax-KL objective between the reference and
+RTN-quantized layer outputs, found by scoring every k from 0 to G // 2.
+Fractional targets mix floor/ceil widths with no search.
+``allocate_bits`` makes the whole decision; the other functions are its
+parts.
 """
 
 import math
@@ -80,49 +81,20 @@ def balanced_bits(order: np.ndarray, n: int, k: int) -> np.ndarray:
     return bits
 
 
-def argmin_balanced_k(objective, k_max: int, method: str = "auto") -> int:
-    """Argmin of objective(k) over k in [0, k_max].
-
-    ``exhaustive`` scans every k (first minimum wins).  ``binary``
-    assumes a unimodal objective and compares adjacent values, so it
-    matches the exhaustive result on unimodal inputs in O(log) calls.
-    ``auto`` picks exhaustive for k_max <= 32.
-    """
-    if method == "auto":
-        method = "exhaustive" if k_max <= 32 else "binary"
-    memo = {}
-
-    def d(k):
-        if k not in memo:
-            memo[k] = float(objective(k))
-        return memo[k]
-
-    if method == "exhaustive":
-        values = [d(k) for k in range(k_max + 1)]
-        return int(np.argmin(values))
-    if method == "binary":
-        lo, hi = 0, k_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if d(mid) <= d(mid + 1):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-    raise ValueError(f"unknown search method {method!r}")
-
-
 def allocate_bits(groups, calib, target) -> np.ndarray:
     """Per-group bit-widths for column ``groups`` of one weight matrix
     (in order, as in compute_salience) meeting a mean-rate target.
 
     Groups are ranked by compute_salience at the target rounded to the
     nearest width (at least 1), ties broken by index.  Integer targets
-    N >= 2: search the balanced swap count k, scoring each candidate by
-    the KL objective of the RTN-quantized layer output
-    ``hstack(RTN_b(W_g)) @ calib`` against ``W @ calib``.  Fractional
-    targets give ceil(R) bits to the round((R - floor(R)) * G) most
-    salient groups and floor(R) to the rest, with no search.
+    N >= 2: every balanced swap count k in [0, G // 2] is scored by the
+    KL objective D(k) of the RTN-quantized layer output
+    ``hstack(RTN_b(W_g)) @ calib`` against ``W @ calib``, and the first
+    minimizer wins.  The scan costs one layer product at N bits, then
+    per k the two group products that move the k-th most salient group
+    to N+1 bits and the k-th least salient to N-1.  Fractional targets
+    give ceil(R) bits to the round((R - floor(R)) * G) most salient
+    groups and floor(R) to the rest, with no search.
     """
     g = len(groups)
     if g < 2:
@@ -141,11 +113,13 @@ def allocate_bits(groups, calib, target) -> np.ndarray:
         return bits
 
     n = lo + 1
+    starts = np.cumsum([0] + [np.asarray(w).shape[1] for w in groups])
+    base = [rtn_quantize(w, n) for w in groups]
     ref = np.hstack(groups) @ x
-
-    def objective(k):
-        w_hat = np.hstack([rtn_quantize(w, int(b))
-                           for w, b in zip(groups, balanced_bits(order, n, k))])
-        return kl_objective(ref, w_hat @ x)
-
-    return balanced_bits(order, n, argmin_balanced_k(objective, g // 2))
+    out = np.hstack(base) @ x
+    d = [kl_objective(ref, out)]  # D(k) for k = 0, 1, ..., g // 2
+    for k in range(g // 2):  # swap k + 1 raises order[k], lowers order[g-1-k]
+        for i, b in ((order[k], n + 1), (order[g - 1 - k], n - 1)):
+            out += (rtn_quantize(groups[i], b) - base[i]) @ x[starts[i]:starts[i + 1]]
+        d.append(kl_objective(ref, out))
+    return balanced_bits(order, n, int(np.argmin(d)))

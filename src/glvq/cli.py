@@ -1,8 +1,8 @@
 """Command-line driver: quantize, dequantize, eval, ablate, overhead.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error (missing,
-malformed or non-finite inputs, shape mismatches, weights whose side
-information fp16 cannot hold), 4 internal error.  Output files are
+malformed, empty or non-finite inputs, shape mismatches, weights whose
+side information fp16 cannot hold), 4 internal error.  Output files are
 written atomically; report files never contain wall-clock times, so
 identical configurations produce byte-identical outputs.
 """
@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import bitalloc, container, pipeline, synthetic
+from . import container, pipeline, synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,6 +106,8 @@ def cmd_quantize(args) -> int:
     cfg = _run_config(args)
     weights = _load_tensor(args.weights)
     calib = _load_tensor(args.calib)
+    if weights.size == 0 or calib.size == 0:
+        raise DataError(f"empty input: weights {weights.shape}, calib {calib.shape}")
     if weights.shape[1] != calib.shape[0]:
         raise DataError(
             f"calib feature dim {calib.shape[0]} does not match "
@@ -174,16 +176,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = pipeline.RunConfig(dim=args.dim, bits=args.bits,
-                             max_iters=args.max_iters, tol=args.tol)
-    cfg.validate()
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
-    if not bitalloc.is_integer_target(args.bits):
-        raise ValueError("ablation presets use integer bit-widths")
+    cfg = pipeline.RunConfig(dim=args.dim, bits=args.bits,
+                             max_iters=args.max_iters, tol=args.tol)
     rows, summaries = synthetic.run_ablation(
-        args.preset, seeds=args.seeds, source=args.source, dim=args.dim,
-        bits=round(args.bits), base_seed=args.seed, config=cfg)
+        args.preset, seeds=args.seeds, source=args.source, base_seed=args.seed,
+        config=cfg)
     fieldnames = sorted({k for r in rows for k in r})
     # stable, readable column order
     lead = [c for c in ("preset", "seed", "arm", "mean_bits") if c in fieldnames]

@@ -21,10 +21,12 @@ padded.  Side information is rounded to IEEE binary16 (nearest-even);
 a scale outside binary16's normal range, or a basis entry beyond its
 maximum, is rejected at write time.  Codes round-trip bit exactly.
 
-Reading rejects a record with zero rows or columns, a mu that is neither
-0 nor in [MU_MIN, MU_MAX], a scale that is not finite and positive, or a
-non-finite basis entry; decoding rejects a group whose values leave the
-float32 range.  ArchiveError covers every such case.
+Reading rejects a record with zero rows or columns, a pad that does not
+tile rows*cols into dim-long columns, a mu that is neither 0 nor in
+[MU_MIN, MU_MAX], a scale that is not finite and positive, or a
+non-finite basis entry; writing rejects the same records, so whatever it
+writes parses.  Decoding rejects a group whose values leave the float32
+range.  ArchiveError covers every such case.
 """
 
 import json
@@ -172,7 +174,7 @@ def write_archive(records) -> bytes:
     records = list(records)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, len(records)))
     for idx, (codec, codes) in enumerate(records):
-        _check_side_info(idx, codec)
+        _check_record(idx, codec, codes)
         payload = pack_codes(codes, codec.bits)
         out += _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits,
                             codec.pad, float(codec.scale), float(codec.mu))
@@ -180,6 +182,17 @@ def write_archive(records) -> bytes:
         out += _PAYLEN.pack(len(payload))
         out += payload
     return bytes(out)
+
+
+def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
+                    pad: int) -> None:
+    """Reject sizes below 1, bits above 8, and a pad other than the zero
+    count that tiles rows*cols into dim-long columns."""
+    if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= 8:
+        raise ArchiveError(f"record {idx} has invalid geometry")
+    if pad != (-rows * cols) % dim:
+        raise ArchiveError(
+            f"record {idx} geometry does not tile into dim={dim} with pad={pad}")
 
 
 def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
@@ -196,12 +209,17 @@ def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
         raise ArchiveError(f"group {idx}: basis has non-finite entries")
 
 
-def _check_side_info(idx: int, codec: GroupCodec) -> None:
-    """Reject side info that cannot decode, or that binary16 cannot hold
-    faithfully.  The scale (a group's max |w|) must be a normal binary16
-    number: below that range it loses relative precision and below 2^-24
-    it rounds to 0, so the group would decode to zeros; above 65504 it
-    overflows."""
+def _check_record(idx: int, codec: GroupCodec, codes) -> None:
+    """Reject a record that read_archive would reject, or whose side info
+    binary16 cannot hold faithfully.  The scale (a group's max |w|) must
+    be a normal binary16 number: below that range it loses relative
+    precision and below 2^-24 it rounds to 0, so the group would decode
+    to zeros; above 65504 it overflows."""
+    _check_geometry(idx, codec.rows, codec.cols, codec.dim, codec.bits, codec.pad)
+    shapes = (np.shape(codec.basis), np.shape(codes))
+    if shapes != ((codec.dim, codec.dim), (codec.dim, codec.columns)):
+        raise ArchiveError(f"group {idx}: basis and codes have shapes {shapes}, "
+                           f"not dim x dim and dim x {codec.columns}")
     _check_decodable(idx, codec.scale, codec.mu, codec.basis)
     if not _FP16_MIN_NORMAL <= codec.scale <= _FP16_MAX:
         raise ArchiveError(
@@ -228,10 +246,7 @@ def read_archive(data: bytes) -> GlvqArchive:
             raise TruncatedArchiveError(f"record {idx} header truncated")
         rows, cols, dim, bits, pad, scale, mu = _RECORD.unpack_from(data, off)
         off += _RECORD.size
-        if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= 8 or pad >= dim:
-            raise ArchiveError(f"record {idx} has invalid geometry")
-        if (rows * cols + pad) % dim != 0:
-            raise ArchiveError(f"record {idx} geometry does not tile into dim={dim}")
+        _check_geometry(idx, rows, cols, dim, bits, pad)
         basis_bytes = 2 * dim * dim
         if off + basis_bytes + _PAYLEN.size > len(data):
             raise TruncatedArchiveError(f"record {idx} side info truncated")

@@ -9,11 +9,12 @@ direction with a one-sided sign test.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import codebook, pipeline
+from .bitalloc import is_integer_target
 from .codebook import FitConfig, unreshape_group
 from .container import overhead_report
 
@@ -125,17 +126,25 @@ def _row(preset, seed, arm, score, bits):
             **score}
 
 
+def _suite_settings(config):
+    """Validated config (default RunConfig()), its dim and integer bits."""
+    cfg = config or pipeline.RunConfig()
+    cfg.validate()
+    if not is_integer_target(cfg.bits):
+        raise ValueError("ablation presets use integer bit-widths")
+    return cfg, cfg.dim, round(cfg.bits)
+
+
 def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
-                 dim: int = 8, bits: int = 2, base_seed: int = 0,
-                 config: FitConfig | None = None):
-    """Run one paired ablation preset over the suite.
+                 base_seed: int = 0, config: pipeline.RunConfig | None = None):
+    """Run one paired ablation preset over the suite at ``config``.
 
     Returns (rows, summaries): per-seed metric rows plus sign-test
     summary dicts describing the observed direction.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    cfg = config or FitConfig()
+    cfg, dim, bits = _suite_settings(config)
     rows, summaries = [], []
 
     if preset == "rounding":
@@ -165,14 +174,12 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
                                     "output_mse"))
 
     elif preset == "bit-alloc":
-        fit_settings = {f.name: getattr(cfg, f.name) for f in fields(FitConfig)}
         for s in range(seeds):
             w, x = make_layer(base_seed + s, source=source, dim=dim)
             for arm, alloc in (("sdba", True), ("uniform", False)):
-                run_cfg = pipeline.RunConfig(
-                    **fit_settings, dim=dim, bits=float(bits),
-                    group_width=SUITE_GROUP_COLS, bit_alloc=alloc)
-                result = pipeline.quantize_matrix(w, x, run_cfg)
+                result = pipeline.quantize_matrix(
+                    w, x, replace(cfg, group_width=SUITE_GROUP_COLS,
+                                  bit_alloc=alloc))
                 # float64 side info: an archive round trip would round it to fp16
                 w_hat = np.hstack([codebook.reconstruct(codes, codec)
                                    for codec, codes in result.records])
@@ -203,11 +210,10 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
     return rows, summaries
 
 
-def glvq_vs_rtn(seeds: int = 20, *, source: str = "student_t", dim: int = 8,
-                bits: int = 2, base_seed: int = 0,
-                config: FitConfig | None = None):
-    """Paired full-pipeline vs RTN comparison on the suite."""
-    cfg = config or FitConfig()
+def glvq_vs_rtn(seeds: int = 20, *, source: str = "student_t",
+                base_seed: int = 0, config: pipeline.RunConfig | None = None):
+    """Paired full-pipeline vs RTN comparison on the suite at ``config``."""
+    cfg, dim, bits = _suite_settings(config)
     rows = []
     for s in range(seeds):
         w, x = make_group(base_seed + s, source=source, dim=dim)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from glvq import cli, companding, container, pipeline, synthetic
-from glvq.bitalloc import allocate_bits, argmin_balanced_k, balanced_bits
+from glvq.bitalloc import (allocate_bits, balanced_bits, compute_salience,
+                           kl_objective)
 from glvq.codebook import (FitConfig, GroupCodec, fit_group, grad_basis,
                            grad_mu, group_loss, init_codec, quantize_columns,
-                           reconstruct, reshape_group)
+                           reconstruct, reshape_group, rtn_quantize)
 from glvq.lattice import (babai_error_bound, babai_round, decode, exact_cvp,
                           gram_schmidt, lll_reduce)
 
@@ -256,13 +257,27 @@ def test_criterion_8_bit_allocation_constraints():
                 and (bits == n + 1).sum() == (bits == n - 1).sum()
                 and set(np.unique(bits)) <= {n - 1, n, n + 1})
 
+    def first_argmin_bits(groups, x, n):
+        """balanced_bits at the first minimizer of a directly computed D(k)."""
+        order = np.argsort(-compute_salience(groups, x, n), kind="stable")
+        ref = np.hstack(groups) @ x
+        d = [kl_objective(ref, np.hstack(
+                 [rtn_quantize(w, int(b))
+                  for w, b in zip(groups, balanced_bits(order, n, k))]) @ x)
+             for k in range(len(groups) // 2 + 1)]
+        return balanced_bits(order, n, int(np.argmin(d)))
+
     ok = True
+    search_ok = True
     # integer targets: exact mean and balance, for the searched allocation
     # and for every swap count k the search can pick
     for n in (2, 3, 4):
         for g in (4, 10, 64):
             groups, x = layer(g)
-            ok &= balanced_ok(allocate_bits(groups, x, n), n)
+            bits = allocate_bits(groups, x, n)
+            ok &= balanced_ok(bits, n)
+            # the search returns the exact first argmin of D(k)
+            search_ok &= np.array_equal(bits, first_argmin_bits(groups, x, n))
             order = rng.permutation(g)
             ok &= all(balanced_ok(balanced_bits(order, n, k), n)
                       for k in range(g // 2 + 1))
@@ -272,17 +287,9 @@ def test_criterion_8_bit_allocation_constraints():
     frac_ok = (abs(bits.mean() - 1.5) <= 1 / (2 * 64)
                and set(np.unique(bits)) <= {1, 2})
     ok &= frac_ok
-    # binary search equals exhaustive scan on unimodal objectives
-    search_ok = True
-    for k_star in (0, 1, 7, 20, 32):
-        def d_uni(k, k_star=k_star):
-            return (k - k_star) ** 2 + 0.5
-
-        search_ok &= (argmin_balanced_k(d_uni, 32, "binary")
-                      == argmin_balanced_k(d_uni, 32, "exhaustive"))
     ok &= search_ok
     report(8, ok, "integer mean/balance exact, fractional mean within 1/(2G), "
-           "binary == exhaustive on unimodal objectives")
+           "allocation at the first argmin of D(k) on every integer layer")
 
 
 # -------------------------------------------------------------- criterion 9

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from glvq.bitalloc import (allocate_bits, argmin_balanced_k, balanced_bits,
-                           compute_salience, kl_objective)
+from glvq.bitalloc import (allocate_bits, balanced_bits, compute_salience,
+                           kl_objective)
 from glvq.codebook import rtn_quantize
 
 
@@ -107,30 +107,6 @@ def test_kl_shape_and_finite_checks():
         kl_objective(np.array([[np.nan]]), np.array([[0.0]]))
 
 
-# ------------------------------------------------------------------ search
-
-def test_argmin_matches_exhaustive_on_unimodal_objectives():
-    for k_star in (0, 3, 17, 40):
-        def d(k, k_star=k_star):
-            return (k - k_star) ** 2 + 1.0
-
-        assert argmin_balanced_k(d, 40, "binary") == min(k_star, 40)
-        assert argmin_balanced_k(d, 40, "exhaustive") == min(k_star, 40)
-
-
-def test_argmin_flat_plateau_prefers_smallest_k():
-    def d(k):
-        return max(abs(k - 10) - 2, 0)  # flat minimum on [8, 12]
-
-    assert argmin_balanced_k(d, 30, "exhaustive") == 8
-    assert argmin_balanced_k(d, 30, "binary") == 8
-
-
-def test_argmin_constant_objective_returns_zero():
-    assert argmin_balanced_k(lambda k: 1.0, 20, "binary") == 0
-    assert argmin_balanced_k(lambda k: 1.0, 20, "exhaustive") == 0
-
-
 # -------------------------------------------------------------- allocation
 
 def test_allocate_integer_hand_case():
@@ -191,7 +167,7 @@ def test_allocate_infeasible_targets():
         allocate_bits(groups[:1], x[:2], 2)
 
 
-def test_allocate_binary_matches_exhaustive_with_rtn_probe():
+def test_allocate_exact_argmin_on_unimodal_rtn_probe():
     rng = np.random.default_rng(6)
     groups = [rng.standard_normal((16, 8)) * s
               for s in (8.0, 4.0, 2.0, 1.0, 0.5, 0.25)]
@@ -200,11 +176,35 @@ def test_allocate_binary_matches_exhaustive_with_rtn_probe():
     d = rtn_objective(groups, x, order, 2)
     vals = [d(k) for k in range(len(groups) // 2 + 1)]
     k_min = int(np.argmin(vals))
-    # frozen: this layer's objective is unimodal, so binary search applies
+    # frozen: this layer's objective is unimodal
     assert np.all(np.diff(vals[:k_min + 1]) <= 0)
     assert np.all(np.diff(vals[k_min:]) >= 0)
-    k_bin = argmin_balanced_k(d, len(groups) // 2, "binary")
-    assert k_bin == argmin_balanced_k(d, len(groups) // 2, "exhaustive") == k_min
     bits = allocate_bits(groups, x, 2)
     assert np.array_equal(bits, balanced_bits(order, 2, k_min))
     check_integer_invariants(bits, 2)
+
+
+def test_allocate_constant_objective_keeps_first_minimum():
+    # all-zero groups: every swap count gives D(k) = 0, and k = 0 is first
+    groups = [np.zeros((8, 4)) for _ in range(6)]
+    x = np.random.default_rng(11).standard_normal((24, 16))
+    for n in (2, 3):
+        assert np.array_equal(allocate_bits(groups, x, n), np.full(6, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_allocate_exact_argmin_on_non_unimodal_layers(seed):
+    # 66 groups with geometrically falling scales and T = 16: a search that
+    # assumes one minimum stops short of the first argmin on seeds 0, 2-4
+    rng = np.random.default_rng(seed)
+    groups = [2.0 ** (-i / 8) * rng.standard_normal((8, 4)) for i in range(66)]
+    x = rng.standard_normal((4 * 66, 16))
+    order = salience_order(groups, x, 2)
+    d = rtn_objective(groups, x, order, 2)
+    vals = [d(k) for k in range(len(groups) // 2 + 1)]
+    k_min = int(np.argmin(vals))
+    # frozen: D(k) is not unimodal on these layers
+    assert not (np.all(np.diff(vals[:k_min + 1]) <= 0)
+                and np.all(np.diff(vals[k_min:]) >= 0))
+    assert np.array_equal(allocate_bits(groups, x, 2),
+                          balanced_bits(order, 2, k_min))

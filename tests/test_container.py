@@ -208,6 +208,18 @@ def test_archive_write_rejects_undecodable_side_info(mu, basis_entry):
         write_archive([(codec, np.zeros((2, 2), int))])
 
 
+@pytest.mark.parametrize("dim, pad, codes_shape", [
+    (4, 0, (4, 1)),  # dim disagrees with the 2 x 2 basis
+    (2, 2, (2, 3)),  # pad is not (-rows * cols) mod dim
+    (2, 0, (2, 3)),  # codes are not dim x columns
+])
+def test_archive_write_rejects_what_read_rejects(dim, pad, codes_shape):
+    codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=dim,
+                       pad=pad, rows=2, cols=2)
+    with pytest.raises(ArchiveError):
+        write_archive([(codec, np.zeros(codes_shape, int))])
+
+
 @pytest.mark.parametrize("basis_entry", [1000.0, 21.0])
 def test_archive_decode_rejects_overflowing_expansion(basis_entry):
     # codes of -2 put the companded latent at -2 * basis_entry, far past

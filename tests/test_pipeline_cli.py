@@ -328,6 +328,14 @@ def test_cli_non_finite_input_is_data_error(tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("w_shape, x_shape", [((0, 8), (8, 4)), ((4, 8), (8, 0))])
+def test_cli_empty_input_is_data_error(tmp_path, w_shape, x_shape):
+    out = tmp_path / "y.glvq"
+    assert run(["quantize", write_pair(tmp_path, "w", np.zeros(w_shape)),
+                write_pair(tmp_path, "x", np.zeros(x_shape)), "--out", out]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("magnitude", [1e5, 1e-9])
 def test_cli_weights_beyond_fp16_side_info_are_data_error(tmp_path, magnitude):
     # the group scale (max |w|) is stored as fp16: 1e5 overflows it and
@@ -498,12 +506,23 @@ def test_cli_ablate_companding_gaussian_emits_csv(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-iters", 0), ("--tol", -1), ("--dim", 0), ("--seeds", 0),
-    ("--bits", 9)])
+    ("--bits", 9), ("--bits", 2.5)])
 def test_cli_ablate_invalid_config_is_usage_error(tmp_path, flag, value):
     out = tmp_path / "r.csv"
     assert run(["ablate", "--preset", "rounding", "--seeds", 1, flag, value,
                 "--out", out]) == 2
     assert not out.exists()
+
+
+def test_ablation_reads_dim_and_bits_from_its_config():
+    cfg = pipeline.RunConfig(dim=4, bits=3.0, max_iters=5)
+    rows, _ = synthetic.run_ablation("rounding", seeds=1, config=cfg)
+    assert [r["mean_bits"] for r in rows] == [3, 3]
+    assert all(type(r["mean_bits"]) is int for r in rows)
+    rows, _ = synthetic.run_ablation("bit-alloc", seeds=1, config=cfg)
+    assert [r["mean_bits"] for r in rows] == [3.0, 3.0]
+    with pytest.raises(ValueError):
+        synthetic.glvq_vs_rtn(1, config=dataclasses.replace(cfg, bits=2.5))
 
 
 def test_cli_ablate_unknown_preset():
