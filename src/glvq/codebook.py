@@ -22,8 +22,8 @@ from .lattice import babai_round, check_basis
 ETA_BASIS = 1e-3
 ETA_MU = 1e-1
 LAM = 0.1
-SIGMA_MIN_DEFAULT = 1e-2
-SIGMA_MAX_DEFAULT = 10.0
+SIGMA_MIN = 1e-2
+SIGMA_MAX = 10.0
 COV_RIDGE = 1e-6
 
 
@@ -60,8 +60,8 @@ class FitConfig:
     fixed_basis: bool = False
 
     def validate(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -128,16 +128,14 @@ def quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
     return np.clip(z, lo, hi)
 
 
-def gcd_quantize_columns(latent, codec: GroupCodec, sweeps: int = 1) -> np.ndarray:
+def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
     """Greedy coordinate descent index assignment (ablation baseline).
 
-    Starting from all-zero codes, round-robin over coordinates setting
-    each to the in-range integer that minimizes the column residual with
-    the other coordinates fixed.  Deterministic; per-column residuals
-    never increase across updates.
+    Starting from all-zero codes, one round-robin sweep over the
+    coordinates sets each to the in-range integer that minimizes the
+    column residual with the other coordinates fixed.  Deterministic;
+    per-column residuals never increase across updates.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
     b = check_basis(codec.basis)
     lat = np.asarray(latent, dtype=float)
     lo, hi = code_range(codec.bits)
@@ -145,17 +143,17 @@ def gcd_quantize_columns(latent, codec: GroupCodec, sweeps: int = 1) -> np.ndarr
     col_norm2 = (b * b).sum(axis=0)
     z = np.zeros((d, lat.shape[1]))
     resid = lat.copy()
-    for _ in range(sweeps):
-        for i in range(d):
-            partial = resid + np.outer(b[:, i], z[i])
-            t = (b[:, i] @ partial) / col_norm2[i]
-            zi = np.clip(np.floor(t + 0.5), lo, hi)
-            resid = partial - np.outer(b[:, i], zi)
-            z[i] = zi
+    for i in range(d):
+        partial = resid + np.outer(b[:, i], z[i])
+        t = (b[:, i] @ partial) / col_norm2[i]
+        zi = np.clip(np.floor(t + 0.5), lo, hi)
+        resid = partial - np.outer(b[:, i], zi)
+        z[i] = zi
     return z.astype(np.int64)
 
 
 def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
+    """The one weight-to-latent map: reshape, divide by scale, compand."""
     lat, pad = reshape_group(weights, codec.dim)
     if pad != codec.pad:
         raise ValueError("weights do not match codec geometry")
@@ -165,11 +163,18 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     return lat
 
 
+def _decode(codes, codec: GroupCodec):
+    """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
+    W_hat = scale * expand(G Z) as an m x n matrix."""
+    zf = np.asarray(codes, dtype=float)
+    v = codec.basis @ zf
+    y = companding.expand(v, codec.mu) if codec.mu > 0.0 else v
+    return zf, v, unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
+
+
 def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
     """Decode codes to an m x n weight matrix: scale * expand(G Z)."""
-    v = codec.basis @ np.asarray(codes, dtype=float)
-    y = companding.expand(v, codec.mu) if codec.mu > 0.0 else v
-    return unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
+    return _decode(codes, codec)[2]
 
 
 def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = LAM) -> float:
@@ -190,10 +195,8 @@ def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
     Costs O(m n^2) whatever the calibration length.  Also returns the
     terms (zf, v, p, dg) that _hessian_grads reuses, so a rejected
     proposal pays for its loss alone."""
-    zf = np.asarray(codes, dtype=float)
-    v = codec.basis @ zf
-    y = companding.expand(v, codec.mu) if codec.mu > 0.0 else v
-    dw = unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad) - weights
+    zf, v, w_hat = _decode(codes, codec)
+    dw = w_hat - weights
     p = dw @ hess
     dg = codec.basis - basis_init
     loss = float((dw * p).sum() + lam * (dg * dg).sum())
@@ -233,17 +236,14 @@ def grad_mu(weights, calib, codec, codes, basis_init, lam: float = LAM) -> float
     return _grads(weights, calib, codec, codes, basis_init, lam)[1]
 
 
-def spectral_normalize(basis, sigma_min: float = SIGMA_MIN_DEFAULT,
-                       sigma_max: float = SIGMA_MAX_DEFAULT) -> np.ndarray:
-    """Clamp the singular values into [sigma_min, sigma_max], keeping the
+def spectral_normalize(basis) -> np.ndarray:
+    """Clamp the singular values into [SIGMA_MIN, SIGMA_MAX], keeping the
     singular vectors.  Identity on inputs already in range; idempotent."""
-    if not 0.0 < sigma_min < sigma_max:
-        raise ValueError("need 0 < sigma_min < sigma_max")
     b = np.asarray(basis, dtype=float)
     u, s, vt = np.linalg.svd(b)
-    if np.all((s >= sigma_min) & (s <= sigma_max)):
+    if np.all((s >= SIGMA_MIN) & (s <= SIGMA_MAX)):
         return b
-    return (u * np.clip(s, sigma_min, sigma_max)) @ vt
+    return (u * np.clip(s, SIGMA_MIN, SIGMA_MAX)) @ vt
 
 
 def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
@@ -254,7 +254,9 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     curvature comes from the sample kurtosis.  The basis starts from the
     Cholesky factor of the latent covariance (or the identity when
     ``identity_basis``), scaled so the 99th percentile of the coordinate
-    magnitudes sits at 2^(b-1) - 0.5, then spectrally normalized.
+    magnitudes sits at 2^(b-1) - 0.5, then spectrally normalized.  Without
+    a kurtosis (zero variance, under 4 weights) mu starts at MU_MIN; an
+    all-zero group keeps the basis 2^(1-b) I and scale 1.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
@@ -264,28 +266,22 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     rows, cols = w.shape
     if rows * cols < dim:
         raise ValueError(f"group of size {rows * cols} cannot host dim={dim} blocks")
-    lo, hi = code_range(bits)
+    code_range(bits)  # validates bits
 
-    amax = float(np.max(np.abs(w)))
-    if amax == 0.0:
-        _, pad = reshape_group(w, dim)
-        basis = 2.0 ** (1 - bits) * np.eye(dim)
-        mu = companding.MU_MIN if companding_enabled else 0.0
-        return GroupCodec(basis=basis, mu=mu, bits=bits, scale=1.0, dim=dim,
-                          pad=pad, rows=rows, cols=cols)
-
-    scale = amax
-    lat, pad = reshape_group(w, dim)
-    lat /= scale
+    mu = 0.0
     if companding_enabled:
         try:
-            mu = companding.init_mu(companding.kurtosis(w.ravel()))
+            mu = companding.init_mu(companding.kurtosis(w))
         except companding.DegenerateSampleError:
             mu = companding.MU_MIN
-        lat = companding.compand(lat, mu)
-    else:
-        mu = 0.0
+    amax = float(np.max(np.abs(w)))
+    codec = GroupCodec(basis=2.0 ** (1 - bits) * np.eye(dim), mu=mu, bits=bits,
+                       scale=amax or 1.0, dim=dim, pad=(-rows * cols) % dim,
+                       rows=rows, cols=cols)
+    if amax == 0.0:
+        return codec
 
+    lat = _latent_of(w, codec)
     if identity_basis:
         chol = np.eye(dim)
         coords = lat
@@ -297,9 +293,7 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0
-    basis = spectral_normalize(alpha * chol)
-    return GroupCodec(basis=basis, mu=mu, bits=bits, scale=scale, dim=dim,
-                      pad=pad, rows=rows, cols=cols)
+    return replace(codec, basis=spectral_normalize(alpha * chol))
 
 
 @dataclass

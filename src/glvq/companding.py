@@ -18,7 +18,7 @@ MU_MAX = 255.0
 
 
 class DegenerateSampleError(ValueError):
-    """Raised when a sample has zero variance, so kurtosis is undefined."""
+    """Raised when kurtosis is undefined: zero variance or under 4 values."""
 
 
 def _check_mu(mu) -> float:
@@ -51,27 +51,6 @@ def expand(y, mu):
     return out if out.ndim else float(out)
 
 
-def compand_grad(x, mu):
-    """Derivatives (dF/dx, dF/dmu) of the compress transform.
-
-    dF/dx is even in x and equals mu / ln(1 + mu) at x = 0 (the analytic
-    limit).  dF/dmu vanishes at x = 0 and at |x| = 1.
-    """
-    mu = _check_mu(mu)
-    a = _check_finite(x, "compand_grad input")
-    log1p_mu = np.log1p(mu)
-    absx = np.abs(a)
-    dfdx = mu / ((1.0 + mu * absx) * log1p_mu)
-    dfdmu = (
-        np.sign(a)
-        * (absx / (1.0 + mu * absx) * log1p_mu - np.log1p(mu * absx) / (1.0 + mu))
-        / log1p_mu**2
-    )
-    if dfdx.ndim:
-        return dfdx, dfdmu
-    return float(dfdx), float(dfdmu)
-
-
 def expand_grad(y, mu):
     """Derivatives (dF_inv/dy, dF_inv/dmu) of the expand transform.
 
@@ -89,23 +68,19 @@ def expand_grad(y, mu):
     return float(didy), float(didmu)
 
 
-def kurtosis(sample, excess: bool = True) -> float:
-    """Sample kurtosis m4 / m2^2 from biased central moments.
-
-    With ``excess`` (the default) 3 is subtracted, so a Gaussian sample
-    scores near 0 and a balanced +/-1 sample scores exactly -2.
-    """
+def kurtosis(sample) -> float:
+    """Excess kurtosis m4 / m2^2 - 3 from biased central moments: near 0
+    for a Gaussian sample, exactly -2 for a balanced +/-1 sample."""
     s = _check_finite(sample, "kurtosis sample").ravel()
     if s.size < 4:
-        raise ValueError(f"kurtosis needs at least 4 samples, got {s.size}")
+        raise DegenerateSampleError(f"kurtosis needs at least 4 samples, got {s.size}")
     c = s - s.mean()
     c *= c  # squared deviations, in place
     m2 = float(np.mean(c))
     if m2 <= 0.0:
         raise DegenerateSampleError("sample has zero variance")
     m4 = float(np.mean(c * c))  # c**4 would go through libm pow
-    k = m4 / m2**2
-    return k - 3.0 if excess else k
+    return m4 / m2**2 - 3.0
 
 
 def init_mu(kurtosis_value: float) -> float:

@@ -296,7 +296,7 @@ def record_side_bytes(dim: int) -> int:
     return _RECORD.size + 2 * dim * dim + _PAYLEN.size
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data) -> None:
     """Write via a temp file and rename, so failures leave no partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -316,12 +316,12 @@ def _manifest_path(path: str) -> str:
 
 def write_tensor_file(path, array) -> None:
     """Write a 2-D float32 tensor payload plus its JSON manifest."""
-    a = np.asarray(array, dtype=np.float32)
+    a = np.ascontiguousarray(array, dtype="<f4")
     if a.ndim != 2:
         raise ValueError(f"tensor files hold 2-D arrays, got shape {a.shape}")
     manifest = {"shape": [int(a.shape[0]), int(a.shape[1])],
                 "dtype": "f32", "layout": "row-major"}
-    atomic_write_bytes(path, np.ascontiguousarray(a, dtype="<f4").tobytes())
+    atomic_write_bytes(path, a)
     atomic_write_bytes(_manifest_path(path),
                        (json.dumps(manifest, indent=2) + "\n").encode())
 
@@ -330,11 +330,12 @@ def read_tensor_file(path) -> np.ndarray:
     """Read a tensor payload, validating it against its manifest."""
     with open(_manifest_path(path)) as fh:
         manifest = json.load(fh)
-    if manifest.get("dtype") != "f32" or manifest.get("layout") != "row-major":
+    if (not isinstance(manifest, dict) or manifest.get("dtype") != "f32"
+            or manifest.get("layout") != "row-major"):
         raise TensorFormatError(f"unsupported manifest: {manifest}")
     shape = manifest.get("shape")
     if (not isinstance(shape, list) or len(shape) != 2
-            or not all(isinstance(v, int) and v >= 0 for v in shape)):
+            or not all(type(v) is int and v >= 0 for v in shape)):
         raise TensorFormatError(f"bad shape in manifest: {shape!r}")
     with open(path, "rb") as fh:
         payload = fh.read()

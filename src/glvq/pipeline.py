@@ -26,7 +26,7 @@ class RunConfig(codebook.FitConfig):
         super().validate()
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.bits < 1.0 or self.bits > 8.0:
+        if not 1.0 <= self.bits <= 8.0:
             raise ValueError(f"bits must lie in [1, 8], got {self.bits}")
         if self.group_width < 1:
             raise ValueError(f"group_width must be >= 1, got {self.group_width}")

@@ -47,12 +47,12 @@ def sample_source(rng, source: str, size):
 
 def make_group(seed: int, *, source: str = "student_t", rows: int = SUITE_ROWS,
                cols: int = SUITE_GROUP_COLS, dim: int = 8,
-               calib_T: int = SUITE_CALIB, mixing: float = SUITE_MIXING):
+               calib_T: int = SUITE_CALIB):
     """One synthetic (weights, calib) pair with block-correlated weights."""
     if (rows * cols) % dim != 0:
         raise ValueError("rows*cols must be a multiple of dim")
     rng = np.random.default_rng(seed)
-    mix = np.eye(dim) + mixing * rng.standard_normal((dim, dim)) / math.sqrt(dim)
+    mix = np.eye(dim) + SUITE_MIXING * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     latent = mix @ sample_source(rng, source, (dim, rows * cols // dim))
     w = unreshape_group(latent, rows, cols, 0)
     x = rng.standard_normal((cols, calib_T))
@@ -154,7 +154,7 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
             w, x = make_group(base_seed + s, source=source, dim=dim)
             codec, codes_babai, report = codebook.fit_group(w, x, dim, bits, cfg)
             latent = codebook._latent_of(w, codec)
-            codes_gcd = codebook.gcd_quantize_columns(latent, codec, 1)
+            codes_gcd = codebook.gcd_quantize_columns(latent, codec)
             for arm, codes in (("babai", codes_babai), ("gcd", codes_gcd)):
                 score = _score(w, codebook.reconstruct(codes, codec), x,
                                report.iterations, report.converged,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from glvq.companding import (MU_MAX, MU_MIN, DegenerateSampleError, compand,
-                             compand_grad, expand, expand_grad, init_mu,
-                             kurtosis)
+                             expand, expand_grad, init_mu, kurtosis)
 
 
 def test_compand_fixed_points():
@@ -60,18 +59,9 @@ def test_strictly_increasing():
 
 def test_grad_at_zero_is_analytic_limit():
     for mu in (10.0, 100.0, 255.0):
-        dfdx, dfdmu = compand_grad(0.0, mu)
         didy, didmu = expand_grad(compand(0.0, mu), mu)
-        assert dfdx == pytest.approx(mu / math.log1p(mu), rel=1e-12)
-        assert dfdmu == 0.0
         assert didy == pytest.approx(math.log1p(mu) / mu, rel=1e-12)
         assert didmu == 0.0
-
-
-def test_compand_mu_derivative_vanishes_at_one():
-    for mu in (10.0, 100.0, 255.0):
-        _, dfdmu = compand_grad(1.0, mu)
-        assert abs(dfdmu) < 1e-14
 
 
 def test_derivatives_match_finite_differences():
@@ -81,11 +71,6 @@ def test_derivatives_match_finite_differences():
         x = float(rng.uniform(0.01, 1.0) * rng.choice([-1.0, 1.0]))
         mu = float(rng.uniform(MU_MIN, MU_MAX - 1.0))
         # abs floor at the central-difference roundoff scale eps/h ~ 1e-10
-        dfdx, dfdmu = compand_grad(x, mu)
-        fd_x = (compand(x + h, mu) - compand(x - h, mu)) / (2 * h)
-        fd_mu = (compand(x, mu + h) - compand(x, mu - h)) / (2 * h)
-        assert dfdx == pytest.approx(fd_x, rel=1e-4)
-        assert dfdmu == pytest.approx(fd_mu, rel=1e-4, abs=1e-9)
         y = compand(x, mu)
         didy, didmu = expand_grad(y, mu)
         fd_y = (expand(y + h, mu) - expand(y - h, mu)) / (2 * h)
@@ -97,7 +82,7 @@ def test_derivatives_match_finite_differences():
 def test_kurtosis_rademacher():
     s = np.array([1.0, -1.0] * 100)
     assert kurtosis(s) == pytest.approx(-2.0, abs=1e-12)
-    assert kurtosis(s, excess=False) == pytest.approx(1.0, abs=1e-12)
+    assert kurtosis(s) + 3 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kurtosis_gaussian_large_sample():
@@ -116,7 +101,7 @@ def test_kurtosis_matches_pow_form():
         c = s - s.mean()
         m2 = np.mean(c * c)
         expected = np.mean(c**4) / m2**2
-        assert kurtosis(s, excess=False) == pytest.approx(expected, rel=1e-13)
+        assert kurtosis(s) + 3 == pytest.approx(expected, rel=1e-13)
 
 
 def test_kurtosis_degenerate():

@@ -292,3 +292,22 @@ def test_tensor_file_manifest_mismatch(tmp_path):
     (tmp_path / "w.f32").write_bytes(b"\x00" * 12)  # wrong payload size
     with pytest.raises(TensorFormatError):
         read_tensor_file(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    "[1, 2]", "null", '"x"', "3",
+    '{"shape": [true, 2], "dtype": "f32", "layout": "row-major"}'])
+def test_tensor_file_malformed_manifest(tmp_path, manifest):
+    path = str(tmp_path / "w.f32")
+    write_tensor_file(path, np.ones((1, 2), dtype=np.float32))
+    (tmp_path / "w.json").write_text(manifest)
+    with pytest.raises(TensorFormatError):
+        read_tensor_file(path)
+
+
+def test_tensor_file_payload_is_row_major_f32(tmp_path):
+    # a column-major float64 matrix is written as the row-major <f4 bytes
+    a = np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0)
+    path = tmp_path / "w.f32"
+    write_tensor_file(str(path), a)
+    assert path.read_bytes() == a.astype("<f4").tobytes(order="C")

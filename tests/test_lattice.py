@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from glvq.codebook import (SIGMA_MAX_DEFAULT, SIGMA_MIN_DEFAULT,
-                           spectral_normalize)
+from glvq.codebook import SIGMA_MAX, SIGMA_MIN, spectral_normalize
 from glvq.lattice import (SingularBasisError, babai_error_bound, babai_round,
                           check_basis, decode, exact_cvp, gram_schmidt,
                           lll_reduce)
@@ -26,7 +25,7 @@ def test_check_basis_rejects_singular():
 def test_check_basis_accepts_every_spectrally_normalized_basis():
     # spectral_normalize admits singular values in [sigma_min, sigma_max];
     # every such basis must pass, however far apart the extremes are
-    sigma_min, sigma_max = SIGMA_MIN_DEFAULT, SIGMA_MAX_DEFAULT
+    sigma_min, sigma_max = SIGMA_MIN, SIGMA_MAX
     check_basis(spectral_normalize(np.diag([10.0] + [0.01] * 7)))
     rng = np.random.default_rng(0)
     for d in (1, 2, 8, 16, 32):
@@ -212,8 +211,8 @@ def test_babai_matches_lu_solve_on_normalized_bases():
         s[0], s[-1] = 100.0, 1e-3  # clamped to the range's two ends
         b = spectral_normalize((u * s) @ v.T)
         sv = np.linalg.svd(b, compute_uv=False)
-        assert sv[0] == pytest.approx(SIGMA_MAX_DEFAULT)
-        assert sv[-1] == pytest.approx(SIGMA_MIN_DEFAULT)
+        assert sv[0] == pytest.approx(SIGMA_MAX)
+        assert sv[-1] == pytest.approx(SIGMA_MIN)
         t = rng.standard_normal((d, cols))
         expected = np.floor(np.linalg.solve(b, t) + 0.5).astype(np.int64)
         assert np.array_equal(babai_round(b, t), expected)

@@ -336,6 +336,37 @@ def test_cli_empty_input_is_data_error(tmp_path, w_shape, x_shape):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_cli_tiny_companded_group_round_trips(tmp_path, dim):
+    # three weights leave the kurtosis undefined, as an all-zero group's
+    # is: the curvature starts at MU_MIN instead of failing the run
+    w = np.array([[0.5, -1.0, 2.0]])
+    assert init_codec(w, dim, 2).mu == companding.MU_MIN
+    x = np.random.default_rng(14).standard_normal((3, 4))
+    arch, out = tmp_path / "t.glvq", tmp_path / "t.f32"
+    assert run(["quantize", write_pair(tmp_path, "w", w),
+                write_pair(tmp_path, "x", x), "--out", arch, "--dim", dim,
+                "--bits", 2, "--group-width", 3] + FAST) == 0
+    assert run(["dequantize", arch, "--out", out]) == 0
+    back = container.read_tensor_file(str(out))
+    decoded = container.read_archive(arch.read_bytes()).decode_matrix()
+    assert back.shape == (1, 3) and back.any()
+    assert np.array_equal(back, decoded.astype(np.float32))
+
+
+@pytest.mark.parametrize("manifest", [
+    "[1, 2]", "null", '"x"',
+    '{"shape": [true, 2], "dtype": "f32", "layout": "row-major"}'])
+def test_cli_malformed_manifest_is_data_error(tmp_path, manifest):
+    rng = np.random.default_rng(15)
+    wpath = write_pair(tmp_path, "w", rng.standard_normal((1, 2)))
+    xpath = write_pair(tmp_path, "x", rng.standard_normal((2, 4)))
+    (tmp_path / "w.json").write_text(manifest)
+    out = tmp_path / "y.glvq"
+    assert run(["quantize", wpath, xpath, "--out", out]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("magnitude", [1e5, 1e-9])
 def test_cli_weights_beyond_fp16_side_info_are_data_error(tmp_path, magnitude):
     # the group scale (max |w|) is stored as fp16: 1e5 overflows it and
@@ -425,6 +456,21 @@ def test_cli_invalid_config_is_usage_error(tmp_path):
                 "--dim", 2, "--group-width", 4, "--bits", 1] + FAST) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--bits", "nan")])
+def test_cli_non_finite_run_setting_is_usage_error(tmp_path, capsys, flag, value):
+    rng = np.random.default_rng(16)
+    out = tmp_path / "y.glvq"
+    assert run(["quantize", write_pair(tmp_path, "w", rng.standard_normal((8, 16))),
+                write_pair(tmp_path, "x", rng.standard_normal((16, 4))),
+                "--out", out, "--dim", 4, "--group-width", 8, flag, value]
+               + FAST) == 2
+    message = {"--tol": "tol must be finite and positive",
+               "--bits": "bits must lie in [1, 8]"}[flag]
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["quantize"])  # missing required arguments
@@ -506,12 +552,18 @@ def test_cli_ablate_companding_gaussian_emits_csv(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-iters", 0), ("--tol", -1), ("--dim", 0), ("--seeds", 0),
-    ("--bits", 9), ("--bits", 2.5)])
+    ("--bits", 9), ("--bits", 2.5), ("--tol", "nan"), ("--tol", "inf")])
 def test_cli_ablate_invalid_config_is_usage_error(tmp_path, flag, value):
     out = tmp_path / "r.csv"
     assert run(["ablate", "--preset", "rounding", "--seeds", 1, flag, value,
                 "--out", out]) == 2
     assert not out.exists()
+
+
+def test_cli_ablate_nan_bits_gets_range_message(capsys):
+    assert run(["ablate", "--preset", "rounding", "--seeds", 1,
+                "--bits", "nan"]) == 2
+    assert "bits must lie in [1, 8]" in capsys.readouterr().err
 
 
 def test_ablation_reads_dim_and_bits_from_its_config():
