@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .codebook import rtn_quantize
+from .codebook import MAX_BITS, rtn_quantize
 
 
 def is_integer_target(bits: float) -> bool:
@@ -94,7 +94,8 @@ def allocate_bits(groups, calib, target) -> np.ndarray:
     per k the two group products that move the k-th most salient group
     to N+1 bits and the k-th least salient to N-1.  Fractional targets
     give ceil(R) bits to the round((R - floor(R)) * G) most salient
-    groups and floor(R) to the rest, with no search.
+    groups and floor(R) to the rest, with no search.  A target that needs
+    widths outside [1, MAX_BITS] is rejected before any scoring.
     """
     g = len(groups)
     if g < 2:
@@ -102,8 +103,10 @@ def allocate_bits(groups, calib, target) -> np.ndarray:
     target = float(target)
     integer = is_integer_target(target)
     lo = round(target) - 1 if integer else math.floor(target)  # narrowest width
-    if lo < 1:
-        raise ValueError(f"target {target:g} infeasible: it needs {lo}-bit groups")
+    for width in (lo, lo + 2 if integer else lo + 1):  # narrowest, widest
+        if not 1 <= width <= MAX_BITS:
+            raise ValueError(
+                f"target {target:g} infeasible: it needs {width}-bit groups")
     x = np.asarray(calib, dtype=float)
     scores = compute_salience(groups, x, max(1, math.floor(target + 0.5)))
     order = np.argsort(-scores, kind="stable")

@@ -1,10 +1,10 @@
 """Command-line driver: quantize, dequantize, eval, ablate, overhead.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error (missing,
-malformed, empty or non-finite inputs, shape mismatches, weights whose
-side information fp16 cannot hold), 4 internal error.  Output files are
-written atomically; report files never contain wall-clock times, so
-identical configurations produce byte-identical outputs.
+Exit codes: 0 success, 2 usage/config error (a ValueError other than
+container.DataError), 3 data error (container.DataError or OSError),
+4 internal error: the library decides what is bad data.  Outputs are
+written atomically; reports never contain wall-clock times, so identical
+configurations produce byte-identical outputs.
 """
 
 import argparse
@@ -12,8 +12,7 @@ import csv
 import io
 import sys
 import time
-
-import numpy as np
+from pathlib import Path
 
 from . import container, pipeline, synthetic
 
@@ -21,34 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-
-class DataError(Exception):
-    """Unreadable or inconsistent input data."""
-
-
-def _load_tensor(path):
-    try:
-        tensor = container.read_tensor_file(path)
-    except FileNotFoundError as e:
-        raise DataError(f"cannot read tensor {path}: {e}") from e
-    except (container.TensorFormatError, ValueError) as e:
-        raise DataError(f"bad tensor file {path}: {e}") from e
-    if not np.all(np.isfinite(tensor)):
-        raise DataError(f"tensor {path} has non-finite entries")
-    return tensor
-
-
-def _load_archive(path):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read archive {path}: {e}") from e
-    try:
-        return container.read_archive(data)
-    except container.ArchiveError as e:
-        raise DataError(f"bad archive {path}: {e}") from e
 
 
 def _write_csv(path, rows, fieldnames):
@@ -104,20 +75,11 @@ def _run_config(args) -> pipeline.RunConfig:
 
 def cmd_quantize(args) -> int:
     cfg = _run_config(args)
-    weights = _load_tensor(args.weights)
-    calib = _load_tensor(args.calib)
-    if weights.size == 0 or calib.size == 0:
-        raise DataError(f"empty input: weights {weights.shape}, calib {calib.shape}")
-    if weights.shape[1] != calib.shape[0]:
-        raise DataError(
-            f"calib feature dim {calib.shape[0]} does not match "
-            f"weight columns {weights.shape[1]}")
+    weights = container.read_tensor_file(args.weights)
+    calib = container.read_tensor_file(args.calib)
     start = time.perf_counter()
     result = pipeline.quantize_matrix(weights, calib, cfg)
-    try:
-        archive_data = result.archive_bytes()
-    except container.ArchiveError as e:
-        raise DataError(str(e)) from e
+    archive_data = result.archive_bytes()
     elapsed = time.perf_counter() - start
     container.atomic_write_bytes(args.out, archive_data)
 
@@ -149,24 +111,16 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
-    archive = _load_archive(args.archive)
-    try:
-        matrix = archive.decode_matrix()
-    except container.ArchiveError as e:
-        raise DataError(f"bad archive {args.archive}: {e}") from e
+    matrix = container.read_archive(Path(args.archive).read_bytes()).decode_matrix()
     container.write_tensor_file(args.out, matrix)
     print(f"wrote {args.out}: shape {matrix.shape[0]}x{matrix.shape[1]}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    original = _load_tensor(args.original)
-    archive = _load_archive(args.archive)
-    calib = _load_tensor(args.calib)
-    try:
-        metrics = pipeline.evaluate(original, archive, calib)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    archive = container.read_archive(Path(args.archive).read_bytes())
+    metrics = pipeline.evaluate(container.read_tensor_file(args.original),
+                                archive, container.read_tensor_file(args.calib))
     for key in ("weight_mse", "output_mse", "kl", "bits_per_weight",
                 "overhead_pct", "actual_side_bytes"):
         print(f"{key}: {metrics[key]:.6g}")
@@ -176,8 +130,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     cfg = pipeline.RunConfig(dim=args.dim, bits=args.bits,
                              max_iters=args.max_iters, tol=args.tol)
     rows, summaries = synthetic.run_ablation(
@@ -314,15 +266,12 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
+    except (container.DataError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -16,6 +16,8 @@ import numpy as np
 from . import companding
 from .lattice import babai_round, check_basis
 
+MAX_BITS = 8  # the widest code, in bits, that an archive record holds
+
 # Optimizer constants: the initial (and largest) step sizes of the basis
 # and curvature line searches, the weight of the basis anchor penalty,
 # and the singular-value range spectral normalization keeps the basis in.
@@ -154,9 +156,10 @@ def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
 
 def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     """The one weight-to-latent map: reshape, divide by scale, compand."""
-    lat, pad = reshape_group(weights, codec.dim)
-    if pad != codec.pad:
-        raise ValueError("weights do not match codec geometry")
+    w = np.asarray(weights, dtype=float)
+    lat, pad = reshape_group(w, codec.dim)
+    if w.shape != (codec.rows, codec.cols) or pad != codec.pad:
+        raise ValueError(f"weights {w.shape} do not match the codec's group geometry")
     lat /= codec.scale
     if codec.mu > 0.0:
         lat = companding.compand(lat, codec.mu)
@@ -338,7 +341,8 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     consecutive accepts it is doubled back toward its default.  Stops
     when the relative loss change of an iteration falls below ``tol``,
     when no step is accepted, or after ``max_iters`` iterations.  Returns
-    (codec, codes, FitReport).
+    (codec, codes, FitReport).  An ``init`` codec replaces init_codec and
+    must match ``dim``, ``bits`` and the group's shape.
 
     The objective is evaluated through H = X X^T, built once, so a
     proposal's cost does not depend on the calibration length; gradients
@@ -355,6 +359,9 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     codec = init if init is not None else init_codec(
         w, dim, bits, companding_enabled=cfg.companding,
         identity_basis=cfg.fixed_basis)
+    for name, want in zip(("dim", "bits", "rows", "cols"), (dim, bits, *w.shape)):
+        if getattr(codec, name) != want:
+            raise ValueError(f"init codec has {name} {getattr(codec, name)}, not {want}")
     basis_init = codec.basis.copy()
     hess = x @ x.T
     report = FitReport()

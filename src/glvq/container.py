@@ -27,6 +27,11 @@ tile rows*cols into dim-long columns, a mu that is neither 0 nor in
 non-finite basis entry; writing rejects the same records, so whatever it
 writes parses.  Decoding rejects a group whose values leave the float32
 range.  ArchiveError covers every such case.
+
+DataError, a ValueError, marks bad input data rather than bad settings.
+ArchiveError, TruncatedPayloadError (unpack_codes) and TensorFormatError
+(read_tensor_file) derive from it; pipeline.quantize_matrix and
+pipeline.evaluate raise it for empty, mismatched or non-finite inputs.
 """
 
 import json
@@ -38,20 +43,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import GroupCodec, code_range, reconstruct
+from .codebook import MAX_BITS, GroupCodec, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
 _FP16_MAX = float(np.finfo(np.float16).max)  # 65504
 _FP16_MIN_NORMAL = float(np.finfo(np.float16).tiny)  # 2^-14
 _F32_MAX = float(np.finfo(np.float32).max)
+_MAX_AXIS = np.iinfo(np.intp).max // 8  # longest axis of a float64 array
 
 _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<IIHBHee")
 _PAYLEN = struct.Struct("<Q")
 
 
-class ArchiveError(ValueError):
+class DataError(ValueError):
+    """Input data that is malformed, empty, mismatched or non-finite."""
+
+
+class ArchiveError(DataError):
     """Malformed archive bytes, or side information the format cannot hold."""
 
 
@@ -67,19 +77,19 @@ class TruncatedArchiveError(ArchiveError):
     pass
 
 
-class TruncatedPayloadError(ValueError):
+class TruncatedPayloadError(DataError):
     """Packed code payload does not match the declared geometry."""
 
 
-class TensorFormatError(ValueError):
-    """Tensor payload and manifest disagree."""
+class TensorFormatError(DataError):
+    """Unreadable tensor manifest, or a payload that disagrees with it."""
 
 
 def pack_codes(codes, bits: int) -> bytes:
     """Pack an integer code matrix into b-bit offsets, LSB-first."""
     lo, hi = code_range(bits)
-    if bits > 8:
-        raise ValueError(f"packing supports bits <= 8, got {bits}")
+    if bits > MAX_BITS:
+        raise ValueError(f"packing supports bits <= {MAX_BITS}, got {bits}")
     z = np.asarray(codes)
     if z.size and (z.min() < lo or z.max() > hi):
         raise ValueError(f"codes outside [{lo}, {hi}] for bits={bits}")
@@ -92,8 +102,8 @@ def pack_codes(codes, bits: int) -> bytes:
 
 def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
     """Exact inverse of pack_codes; returns a dim x columns int matrix."""
-    if bits < 1 or bits > 8:
-        raise ValueError(f"bits must be in 1..8, got {bits}")
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
     n = dim * columns
     need = (n * bits + 7) // 8
     if len(payload) != need:
@@ -186,9 +196,9 @@ def write_archive(records) -> bytes:
 
 def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
                     pad: int) -> None:
-    """Reject sizes below 1, bits above 8, and a pad other than the zero
-    count that tiles rows*cols into dim-long columns."""
-    if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= 8:
+    """Reject sizes below 1, bits above MAX_BITS, and a pad other than the
+    zero count that tiles rows*cols into dim-long columns."""
+    if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= MAX_BITS:
         raise ArchiveError(f"record {idx} has invalid geometry")
     if pad != (-rows * cols) % dim:
         raise ArchiveError(
@@ -327,20 +337,24 @@ def write_tensor_file(path, array) -> None:
 
 
 def read_tensor_file(path) -> np.ndarray:
-    """Read a tensor payload, validating it against its manifest."""
-    with open(_manifest_path(path)) as fh:
-        manifest = json.load(fh)
+    """Read a tensor file; raises TensorFormatError (naming the file) or OSError."""
+    manifest_path = _manifest_path(path)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep
+        raise TensorFormatError(f"{manifest_path}: not a JSON manifest: {e}") from e
     if (not isinstance(manifest, dict) or manifest.get("dtype") != "f32"
             or manifest.get("layout") != "row-major"):
-        raise TensorFormatError(f"unsupported manifest: {manifest}")
+        raise TensorFormatError(f"{manifest_path}: not an f32 row-major manifest")
     shape = manifest.get("shape")
     if (not isinstance(shape, list) or len(shape) != 2
-            or not all(type(v) is int and v >= 0 for v in shape)):
-        raise TensorFormatError(f"bad shape in manifest: {shape!r}")
+            or not all(type(v) is int and 0 <= v <= _MAX_AXIS for v in shape)):
+        raise TensorFormatError(f"{manifest_path}: bad shape {shape!r}")
     with open(path, "rb") as fh:
         payload = fh.read()
     rows, cols = shape
     if len(payload) != rows * cols * 4:
-        raise TensorFormatError(
-            f"payload is {len(payload)} bytes, manifest implies {rows * cols * 4}")
+        raise TensorFormatError(f"{path}: payload is {len(payload)} bytes, "
+                                f"manifest implies {rows * cols * 4}")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(float)

@@ -26,8 +26,9 @@ class RunConfig(codebook.FitConfig):
         super().validate()
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 1.0 <= self.bits <= 8.0:
-            raise ValueError(f"bits must lie in [1, 8], got {self.bits}")
+        if not 1.0 <= self.bits <= codebook.MAX_BITS:
+            raise ValueError(
+                f"bits must lie in [1, {codebook.MAX_BITS}], got {self.bits}")
         if self.group_width < 1:
             raise ValueError(f"group_width must be >= 1, got {self.group_width}")
 
@@ -52,20 +53,28 @@ def partition_columns(cols: int, width: int):
     return [(a, min(a + width, cols)) for a in range(0, cols, width)]
 
 
-def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
-    """Run the two-stage pipeline: allocate bit-widths, then fit groups."""
-    config.validate()
+def _check_inputs(weights, calib):
+    """Float weights and calib, or container.DataError unless both are 2-D,
+    non-empty and finite, with one calib row per weight column."""
     w = np.asarray(weights, dtype=float)
     x = np.asarray(calib, dtype=float)
-    if w.ndim != 2 or x.ndim != 2:
-        raise ValueError("weights and calib must be 2-D")
-    if w.shape[0] < 1 or w.shape[1] < 1 or x.shape[1] < 1:
-        raise ValueError("weights and calib must be non-empty")
+    if w.ndim != 2 or x.ndim != 2 or w.size == 0 or x.size == 0:
+        raise container.DataError(
+            f"weights {w.shape} and calib {x.shape} must be 2-D and non-empty")
     if w.shape[1] != x.shape[0]:
-        raise ValueError(
+        raise container.DataError(
             f"calib feature dim {x.shape[0]} does not match weight columns {w.shape[1]}")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
-        raise ValueError("non-finite inputs")
+    for name, a in (("weights", w), ("calib", x)):
+        if not np.all(np.isfinite(a)):
+            raise container.DataError(f"non-finite entries in {name}")
+    return w, x
+
+
+def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
+    """Run the two-stage pipeline: allocate bit-widths, then fit groups.
+    Bad settings raise ValueError, bad inputs container.DataError."""
+    config.validate()
+    w, x = _check_inputs(weights, calib)
 
     spans = partition_columns(w.shape[1], config.group_width)
     groups = [w[:, a:b] for a, b in spans]
@@ -104,15 +113,14 @@ def metrics(weights, w_hat, calib) -> dict:
 
 
 def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
-    """Error metrics of an archive against the original weights."""
-    w = np.asarray(original, dtype=float)
-    x = np.asarray(calib, dtype=float)
+    """Error metrics of an archive against the original weights; inputs
+    that do not fit it raise container.DataError before any decoding."""
+    w, x = _check_inputs(original, calib)
+    rows, cols = {g.codec.rows for g in archive}, sum(g.codec.cols for g in archive)
+    if rows != {w.shape[0]} or cols != w.shape[1]:
+        raise container.DataError(
+            f"archive has {cols} columns of {sorted(rows)} rows, original is {w.shape}")
     w_hat = archive.decode_matrix()
-    if w_hat.shape != w.shape:
-        raise ValueError(f"archive decodes to {w_hat.shape}, original is {w.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"calib feature dim {x.shape[0]} does not match weight columns {w.shape[1]}")
     total_weights = sum(g.codec.rows * g.codec.cols for g in archive)
     code_bits = sum(g.codec.bits * g.codec.rows * g.codec.cols for g in archive)
     side_bits = sum(container.side_info_bits(g.codec.dim) for g in archive)

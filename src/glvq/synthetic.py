@@ -126,8 +126,10 @@ def _row(preset, seed, arm, score, bits):
             **score}
 
 
-def _suite_settings(config):
+def _suite_settings(config, seeds: int):
     """Validated config (default RunConfig()), its dim and integer bits."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     cfg = config or pipeline.RunConfig()
     cfg.validate()
     if not is_integer_target(cfg.bits):
@@ -144,7 +146,7 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    cfg, dim, bits = _suite_settings(config)
+    cfg, dim, bits = _suite_settings(config, seeds)
     rows, summaries = [], []
 
     if preset == "rounding":
@@ -213,7 +215,7 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
 def glvq_vs_rtn(seeds: int = 20, *, source: str = "student_t",
                 base_seed: int = 0, config: pipeline.RunConfig | None = None):
     """Paired full-pipeline vs RTN comparison on the suite at ``config``."""
-    cfg, dim, bits = _suite_settings(config)
+    cfg, dim, bits = _suite_settings(config, seeds)
     rows = []
     for s in range(seeds):
         w, x = make_group(base_seed + s, source=source, dim=dim)

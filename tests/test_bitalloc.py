@@ -6,6 +6,7 @@ import pytest
 from glvq.bitalloc import (allocate_bits, balanced_bits, compute_salience,
                            kl_objective)
 from glvq.codebook import rtn_quantize
+from glvq.synthetic import make_layer
 
 
 def check_integer_invariants(bits: np.ndarray, n: int):
@@ -208,3 +209,13 @@ def test_allocate_exact_argmin_on_non_unimodal_layers(seed):
                 and np.all(np.diff(vals[k_min:]) >= 0))
     assert np.array_equal(allocate_bits(groups, x, 2),
                           balanced_bits(order, 2, k_min))
+
+
+def test_allocate_rejects_targets_that_need_widths_beyond_max_bits():
+    # a balanced integer target N gives salient groups N + 1 bits, which
+    # no archive record holds at N = 8 (codebook.MAX_BITS)
+    w, x = make_layer(0)
+    groups = [w[:, a:a + 64] for a in range(0, w.shape[1], 64)]
+    with pytest.raises(ValueError, match="target 8 infeasible: it needs 9-bit groups"):
+        allocate_bits(groups, x, 8)
+    assert set(np.unique(allocate_bits(groups, x, 7.5))) == {7, 8}

@@ -526,3 +526,22 @@ def test_code_range_invariant_everywhere():
         for z in (quantize_columns(latent, codec),
                   gcd_quantize_columns(latent, codec)):
             assert z.min() >= lo and z.max() <= hi
+
+
+@pytest.mark.parametrize("field, init_args", [
+    ("dim", (4, 3)), ("bits", (8, 2)), ("rows", (8, 3))])
+def test_fit_group_rejects_init_codec_that_does_not_match(field, init_args):
+    w, x = synthetic.make_group(0, rows=128, cols=64)
+    # a 64 x 128 group has the same size, so only the shape tells them apart
+    source = w.T if field == "rows" else w
+    with pytest.raises(ValueError, match=field):
+        fit_group(w, x, 8, 3, FitConfig(max_iters=1),
+                  init=init_codec(source, *init_args))
+
+
+def test_latent_rejects_weights_of_another_shape():
+    w, _ = synthetic.make_group(0, rows=128, cols=64)
+    codec = init_codec(w.T, 8, 2)
+    with pytest.raises(ValueError, match="do not match"):
+        codebook._latent_of(w, codec)
+    assert codebook._latent_of(w.T, codec).shape == (8, 1024)

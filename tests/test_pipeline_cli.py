@@ -581,3 +581,25 @@ def test_cli_ablate_unknown_preset():
     with pytest.raises(SystemExit) as exc:
         run(["ablate", "--preset", "nope"])
     assert exc.value.code == 2
+
+
+def test_cli_bits_8_needs_uniform_widths(tmp_path, capsys):
+    # balanced allocation at 8 bits would need 9-bit groups: rejected as a
+    # setting before any group is fitted
+    w, x = synthetic.make_layer(0)
+    wpath, xpath = write_pair(tmp_path, "w", w), write_pair(tmp_path, "x", x)
+    out = tmp_path / "q.glvq"
+    assert run(["quantize", wpath, xpath, "--out", out, "--bits", 8,
+                "--group-width", 64, "--max-iters", 2]) == 2
+    assert "target 8 infeasible: it needs 9-bit groups" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["quantize", wpath, xpath, "--out", out, "--bits", 8,
+                "--group-width", 64, "--max-iters", 2, "--no-bit-alloc"]) == 0
+    assert {g.codec.bits for g in container.read_archive(out.read_bytes())} == {8}
+
+
+def test_cli_ablate_bit_alloc_at_8_bits_is_usage_error(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["ablate", "--preset", "bit-alloc", "--seeds", 1, "--bits", 8,
+                "--max-iters", 2, "--out", out]) == 2
+    assert not out.exists()
