@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .codebook import MAX_BITS, rtn_quantize
+from .codebook import MAX_BITS, DataError, rtn_quantize
 
 
 def is_integer_target(bits: float) -> bool:
@@ -35,7 +35,7 @@ def compute_salience(groups, calib, probe_bits: int = 2) -> np.ndarray:
     x = np.asarray(calib, dtype=float)
     widths = [np.asarray(g).shape[1] for g in groups]
     if sum(widths) != x.shape[0]:
-        raise ValueError(
+        raise DataError(
             f"group widths sum to {sum(widths)} but calib has {x.shape[0]} feature rows")
     scores = np.empty(len(widths))
     off = 0
@@ -60,9 +60,9 @@ def kl_objective(reference_out, quantized_out) -> float:
     p_in = np.asarray(reference_out, dtype=float)
     q_in = np.asarray(quantized_out, dtype=float)
     if p_in.shape != q_in.shape or p_in.ndim != 2:
-        raise ValueError(f"shape mismatch: {p_in.shape} vs {q_in.shape}")
+        raise DataError(f"shape mismatch: {p_in.shape} vs {q_in.shape}")
     if not (np.all(np.isfinite(p_in)) and np.all(np.isfinite(q_in))):
-        raise ValueError("non-finite entries")
+        raise DataError("non-finite entries")
     logp = _col_log_softmax(p_in)
     logq = _col_log_softmax(q_in)
     kl_cols = (np.exp(logp) * (logp - logq)).sum(axis=0)

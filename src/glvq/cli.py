@@ -81,7 +81,6 @@ def cmd_quantize(args) -> int:
     result = pipeline.quantize_matrix(weights, calib, cfg)
     archive_data = result.archive_bytes()
     elapsed = time.perf_counter() - start
-    container.atomic_write_bytes(args.out, archive_data)
 
     # the report shows the side info as stored, which is what a decoder uses
     archive = container.read_archive(archive_data)
@@ -97,9 +96,14 @@ def cmd_quantize(args) -> int:
             "overhead_pct": container.overhead_report(
                 codec.dim, codec.rows, codec.cols, codec.bits),
         })
-    if args.report:
-        _write_csv(args.report, rows, list(rows[0].keys()))
     metrics = pipeline.evaluate(weights, archive, calib)
+    container.atomic_write_bytes(args.out, archive_data)
+    if args.report:
+        try:
+            _write_csv(args.report, rows, list(rows[0].keys()))
+        except OSError:  # an exit-3 quantize leaves no output
+            Path(args.out).unlink()
+            raise
     print(f"wrote {args.out}: {len(result.records)} groups, "
           f"{len(archive_data)} bytes")
     print(f"mean bits/weight: {result.mean_bits():.4f}  "

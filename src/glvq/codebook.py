@@ -7,6 +7,10 @@ the codes, then takes monotone (step-halved) gradient steps on the basis
 and the companding curvature, with spectral normalization keeping the
 basis singular values in a stable range.  RTN and greedy coordinate
 descent live here as baselines.
+
+Bad group data (not 2-D, empty, mismatched or non-finite) raises
+DataError, a ValueError, from check_inputs; bad settings, such as dim or
+bits below 1 or a dim beyond the group size, raise a plain ValueError.
 """
 
 from dataclasses import dataclass, field, replace
@@ -29,12 +33,35 @@ SIGMA_MAX = 10.0
 COV_RIDGE = 1e-6
 
 
+class DataError(ValueError):
+    """Input data that is malformed, empty, mismatched or non-finite."""
+
+
+def _check_array(data, name: str) -> np.ndarray:
+    a = np.asarray(data, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise DataError(f"{name} {a.shape} must be 2-D and non-empty")
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"non-finite entries in {name}")
+    return a
+
+
+def check_inputs(weights, calib):
+    """Float weights and calib, or DataError unless both are 2-D,
+    non-empty and finite, with one calib row per weight column."""
+    w = _check_array(weights, "weights")
+    x = _check_array(calib, "calib")
+    if w.shape[1] != x.shape[0]:
+        raise DataError(f"calib has {x.shape[0]} rows for {w.shape[1]} weight columns")
+    return w, x
+
+
 @dataclass
 class GroupCodec:
     """Side information needed to decode one group.
 
-    ``mu == 0.0`` marks a group coded without companding (the expand
-    stage is skipped); active curvatures always lie in [10, 255].
+    ``mu == 0.0`` marks a group coded linearly: companding's transforms
+    are the identity there.  Companded groups have mu in [10, 255].
     """
 
     basis: np.ndarray  # d x d generation matrix
@@ -156,14 +183,9 @@ def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
 
 def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     """The one weight-to-latent map: reshape, divide by scale, compand."""
-    w = np.asarray(weights, dtype=float)
-    lat, pad = reshape_group(w, codec.dim)
-    if w.shape != (codec.rows, codec.cols) or pad != codec.pad:
-        raise ValueError(f"weights {w.shape} do not match the codec's group geometry")
+    lat, _ = reshape_group(weights, codec.dim)
     lat /= codec.scale
-    if codec.mu > 0.0:
-        lat = companding.compand(lat, codec.mu)
-    return lat
+    return companding.compand(lat, codec.mu)
 
 
 def _decode(codes, codec: GroupCodec):
@@ -171,7 +193,7 @@ def _decode(codes, codec: GroupCodec):
     W_hat = scale * expand(G Z) as an m x n matrix."""
     zf = np.asarray(codes, dtype=float)
     v = codec.basis @ zf
-    y = companding.expand(v, codec.mu) if codec.mu > 0.0 else v
+    y = companding.expand(v, codec.mu)
     return zf, v, unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
 
 
@@ -211,13 +233,9 @@ def _hessian_grads(codec, terms, lam):
     with codes held constant (straight-through past the rounding)."""
     zf, v, p, dg = terms
     g_lat, _ = reshape_group(2.0 * p, codec.dim)  # pad positions land on zeros
-    if codec.mu > 0.0:
-        didy, didmu = companding.expand_grad(v, codec.mu)
-        g_v = g_lat * (codec.scale * didy)
-        grad_mu = float((g_lat * (codec.scale * didmu)).sum())
-    else:
-        g_v = g_lat * codec.scale
-        grad_mu = 0.0
+    didy, didmu = companding.expand_grad(v, codec.mu)
+    g_v = g_lat * (codec.scale * didy)
+    grad_mu = float((g_lat * (codec.scale * didmu)).sum())
     return g_v @ zf.T + 2.0 * lam * dg, grad_mu
 
 
@@ -249,30 +267,31 @@ def spectral_normalize(basis) -> np.ndarray:
     return (u * np.clip(s, SIGMA_MIN, SIGMA_MAX)) @ vt
 
 
-def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
-               identity_basis: bool = False) -> GroupCodec:
-    """Build the initial codec for a weight group.
+def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) -> GroupCodec:
+    """Build the initial codec for a weight group under ``config``.
 
     With companding the group is normalized by its max magnitude and the
-    curvature comes from the sample kurtosis.  The basis starts from the
-    Cholesky factor of the latent covariance (or the identity when
-    ``identity_basis``), scaled so the 99th percentile of the coordinate
-    magnitudes sits at 2^(b-1) - 0.5, then spectrally normalized.  Without
-    a kurtosis (zero variance, under 4 weights) mu starts at MU_MIN; an
-    all-zero group keeps the basis 2^(1-b) I and scale 1.
+    curvature comes from the sample kurtosis; without it mu is 0.  The
+    basis starts from the Cholesky factor of the latent covariance (or
+    the identity with ``fixed_basis``), scaled so the 99th percentile of
+    the coordinate magnitudes sits at 2^(b-1) - 0.5, then spectrally
+    normalized.  Without a kurtosis (zero variance, under 4 weights) mu
+    starts at MU_MIN; an all-zero group keeps the basis 2^(1-b) I and
+    scale 1.  Bad weights raise DataError.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights have non-finite entries")
-    rows, cols = w.shape
-    if rows * cols < dim:
-        raise ValueError(f"group of size {rows * cols} cannot host dim={dim} blocks")
+    return _init_group(_check_array(weights, "weights"), dim, bits,
+                       config or FitConfig())[0]
+
+
+def _init_group(w, dim, bits, cfg: FitConfig):
+    """init_codec on checked float weights: returns (codec, its latent)."""
     code_range(bits)  # validates bits
+    rows, cols = w.shape
+    if not 1 <= dim <= rows * cols:
+        raise ValueError(f"dim={dim} is not in [1, {rows * cols}], the group size")
 
     mu = 0.0
-    if companding_enabled:
+    if cfg.companding:
         try:
             mu = companding.init_mu(companding.kurtosis(w))
         except companding.DegenerateSampleError:
@@ -281,11 +300,11 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     codec = GroupCodec(basis=2.0 ** (1 - bits) * np.eye(dim), mu=mu, bits=bits,
                        scale=amax or 1.0, dim=dim, pad=(-rows * cols) % dim,
                        rows=rows, cols=cols)
-    if amax == 0.0:
-        return codec
-
     lat = _latent_of(w, codec)
-    if identity_basis:
+    if amax == 0.0:
+        return codec, lat
+
+    if cfg.fixed_basis:
         chol = np.eye(dim)
         coords = lat
     else:
@@ -296,7 +315,7 @@ def init_codec(weights, dim: int, bits: int, *, companding_enabled: bool = True,
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0
-    return replace(codec, basis=spectral_normalize(alpha * chol))
+    return replace(codec, basis=spectral_normalize(alpha * chol)), lat
 
 
 @dataclass
@@ -331,8 +350,7 @@ def _line_search(step, size: _StepSize, loss, propose):
     return None
 
 
-def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = None,
-              init: GroupCodec | None = None):
+def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = None):
     """Fit one group's codec by alternating code refresh and gradient steps.
 
     Proposals (gradient step, spectral normalization, mu projection, code
@@ -341,33 +359,20 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     consecutive accepts it is doubled back toward its default.  Stops
     when the relative loss change of an iteration falls below ``tol``,
     when no step is accepted, or after ``max_iters`` iterations.  Returns
-    (codec, codes, FitReport).  An ``init`` codec replaces init_codec and
-    must match ``dim``, ``bits`` and the group's shape.
+    (codec, codes, FitReport).  Bad data raises DataError (check_inputs).
 
     The objective is evaluated through H = X X^T, built once, so a
     proposal's cost does not depend on the calibration length; gradients
     are computed only for accepted proposals.
     """
     cfg = config or FitConfig()
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(calib, dtype=float)
-    if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: weights {w.shape} vs calib {x.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
-        raise ValueError("non-finite inputs")
-
-    codec = init if init is not None else init_codec(
-        w, dim, bits, companding_enabled=cfg.companding,
-        identity_basis=cfg.fixed_basis)
-    for name, want in zip(("dim", "bits", "rows", "cols"), (dim, bits, *w.shape)):
-        if getattr(codec, name) != want:
-            raise ValueError(f"init codec has {name} {getattr(codec, name)}, not {want}")
+    w, x = check_inputs(weights, calib)
+    # the latent depends on mu and scale only, so basis steps reuse it
+    codec, latent = _init_group(w, dim, bits, cfg)
     basis_init = codec.basis.copy()
     hess = x @ x.T
     report = FitReport()
 
-    # the latent depends on mu and scale only, so basis steps reuse it
-    latent = _latent_of(w, codec)
     codes = quantize_columns(latent, codec)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
     g_b, g_m = _hessian_grads(codec, terms, LAM)
@@ -393,7 +398,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     searches = []
     if not cfg.fixed_basis:
         searches.append((basis_step, _StepSize(ETA_BASIS, ETA_BASIS)))
-    if cfg.companding and codec.mu > 0.0:
+    if codec.mu > 0.0:
         searches.append((mu_step, _StepSize(ETA_MU, ETA_MU)))
 
     for _ in range(cfg.max_iters):

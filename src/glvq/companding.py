@@ -8,7 +8,9 @@ The forward (compress) transform and its inverse (expand) are
 with mu > 0 controlling compression strength.  F maps [-1, 1] onto
 [-1, 1], is odd and strictly increasing.  The curvature is initialized
 from the sample kurtosis of the data being compressed, then kept inside
-the practical range [MU_MIN, MU_MAX].
+the practical range [MU_MIN, MU_MAX].  mu = 0, the other curvature an
+archive may hold, means linear coding: both transforms are the identity
+and expand_grad returns (1, 0).
 """
 
 import numpy as np
@@ -23,8 +25,8 @@ class DegenerateSampleError(ValueError):
 
 def _check_mu(mu) -> float:
     mu = float(mu)
-    if not MU_MIN <= mu <= MU_MAX:
-        raise ValueError(f"mu must lie in [{MU_MIN}, {MU_MAX}], got {mu}")
+    if not (mu == 0.0 or MU_MIN <= mu <= MU_MAX):
+        raise ValueError(f"mu {mu:g} is neither 0 nor in [{MU_MIN:g}, {MU_MAX:g}]")
     return mu
 
 
@@ -39,7 +41,7 @@ def compand(x, mu):
     """Compress ``x`` with the mu-law transform.  Scalar in, scalar out."""
     mu = _check_mu(mu)
     a = _check_finite(x, "compand input")
-    out = np.sign(a) * np.log1p(mu * np.abs(a)) / np.log1p(mu)
+    out = a if mu == 0.0 else np.sign(a) * np.log1p(mu * np.abs(a)) / np.log1p(mu)
     return out if out.ndim else float(out)
 
 
@@ -47,7 +49,7 @@ def expand(y, mu):
     """Invert the mu-law transform: expand(compand(x)) == x."""
     mu = _check_mu(mu)
     a = _check_finite(y, "expand input")
-    out = np.sign(a) * np.expm1(np.abs(a) * np.log1p(mu)) / mu
+    out = a if mu == 0.0 else np.sign(a) * np.expm1(np.abs(a) * np.log1p(mu)) / mu
     return out if out.ndim else float(out)
 
 
@@ -58,6 +60,8 @@ def expand_grad(y, mu):
     """
     mu = _check_mu(mu)
     a = _check_finite(y, "expand_grad input")
+    if mu == 0.0:
+        return (np.ones_like(a), np.zeros_like(a)) if a.ndim else (1.0, 0.0)
     log1p_mu = np.log1p(mu)
     absy = np.abs(a)
     p = np.exp(absy * log1p_mu)  # (1 + mu)^|y|

@@ -22,16 +22,16 @@ a scale outside binary16's normal range, or a basis entry beyond its
 maximum, is rejected at write time.  Codes round-trip bit exactly.
 
 Reading rejects a record with zero rows or columns, a pad that does not
-tile rows*cols into dim-long columns, a mu that is neither 0 nor in
-[MU_MIN, MU_MAX], a scale that is not finite and positive, or a
-non-finite basis entry; writing rejects the same records, so whatever it
-writes parses.  Decoding rejects a group whose values leave the float32
-range.  ArchiveError covers every such case.
+tile rows*cols into dim-long columns, a mu that companding does not
+accept (neither 0 nor in [MU_MIN, MU_MAX]), a scale that is not finite
+and positive, or a non-finite basis entry; writing rejects the same
+records, so whatever it writes parses.  Decoding rejects a group whose
+values leave the float32 range.  ArchiveError covers every such case.
 
-DataError, a ValueError, marks bad input data rather than bad settings.
-ArchiveError, TruncatedPayloadError (unpack_codes) and TensorFormatError
-(read_tensor_file) derive from it; pipeline.quantize_matrix and
-pipeline.evaluate raise it for empty, mismatched or non-finite inputs.
+DataError, a ValueError defined in codebook and re-exported here, marks
+bad input data rather than bad settings.  ArchiveError,
+TruncatedPayloadError (unpack_codes) and TensorFormatError
+(read_tensor_file) derive from it.
 """
 
 import json
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import MAX_BITS, GroupCodec, code_range, reconstruct
+from .codebook import MAX_BITS, DataError, GroupCodec, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -55,10 +55,6 @@ _MAX_AXIS = np.iinfo(np.intp).max // 8  # longest axis of a float64 array
 _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<IIHBHee")
 _PAYLEN = struct.Struct("<Q")
-
-
-class DataError(ValueError):
-    """Input data that is malformed, empty, mismatched or non-finite."""
 
 
 class ArchiveError(DataError):
@@ -142,8 +138,7 @@ class ArchiveGroup:
             # and so every decoded value: only a group whose bound leaves
             # the range needs its values scanned
             bound = np.abs(codec.basis).sum(axis=1).max() * 2.0 ** (codec.bits - 1)
-            if codec.mu > 0.0:
-                bound = companding.expand(bound, codec.mu)
+            bound = companding.expand(bound, codec.mu)
         # min and max propagate NaN, so a NaN fails the scan as well
         if codec.scale * bound > _F32_MAX and not (
                 -_F32_MAX <= out.min() and out.max() <= _F32_MAX):
@@ -206,13 +201,12 @@ def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
 
 
 def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
-    """Reject side info that cannot decode: mu must be 0 (no companding) or
-    lie in [MU_MIN, MU_MAX], the scale must be finite and positive, and
-    every basis entry finite."""
-    if not (mu == 0.0 or companding.MU_MIN <= mu <= companding.MU_MAX):
-        raise ArchiveError(
-            f"group {idx}: mu {mu:g} is neither 0 nor in "
-            f"[{companding.MU_MIN:g}, {companding.MU_MAX:g}]")
+    """Reject side info that cannot decode: a mu that companding rejects,
+    a scale that is not finite and positive, or a non-finite basis entry."""
+    try:
+        companding._check_mu(mu)
+    except ValueError as e:
+        raise ArchiveError(f"group {idx}: {e}") from None
     if not (math.isfinite(scale) and scale > 0.0):
         raise ArchiveError(f"group {idx}: scale {scale:g} is not finite and positive")
     if not np.isfinite(basis).all():

@@ -53,28 +53,11 @@ def partition_columns(cols: int, width: int):
     return [(a, min(a + width, cols)) for a in range(0, cols, width)]
 
 
-def _check_inputs(weights, calib):
-    """Float weights and calib, or container.DataError unless both are 2-D,
-    non-empty and finite, with one calib row per weight column."""
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(calib, dtype=float)
-    if w.ndim != 2 or x.ndim != 2 or w.size == 0 or x.size == 0:
-        raise container.DataError(
-            f"weights {w.shape} and calib {x.shape} must be 2-D and non-empty")
-    if w.shape[1] != x.shape[0]:
-        raise container.DataError(
-            f"calib feature dim {x.shape[0]} does not match weight columns {w.shape[1]}")
-    for name, a in (("weights", w), ("calib", x)):
-        if not np.all(np.isfinite(a)):
-            raise container.DataError(f"non-finite entries in {name}")
-    return w, x
-
-
 def quantize_matrix(weights, calib, config: RunConfig) -> QuantizeResult:
     """Run the two-stage pipeline: allocate bit-widths, then fit groups.
-    Bad settings raise ValueError, bad inputs container.DataError."""
+    Bad settings raise ValueError, bad inputs codebook.DataError."""
     config.validate()
-    w, x = _check_inputs(weights, calib)
+    w, x = codebook.check_inputs(weights, calib)
 
     spans = partition_columns(w.shape[1], config.group_width)
     groups = [w[:, a:b] for a, b in spans]
@@ -114,11 +97,11 @@ def metrics(weights, w_hat, calib) -> dict:
 
 def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
     """Error metrics of an archive against the original weights; inputs
-    that do not fit it raise container.DataError before any decoding."""
-    w, x = _check_inputs(original, calib)
+    that do not fit it raise codebook.DataError before any decoding."""
+    w, x = codebook.check_inputs(original, calib)
     rows, cols = {g.codec.rows for g in archive}, sum(g.codec.cols for g in archive)
     if rows != {w.shape[0]} or cols != w.shape[1]:
-        raise container.DataError(
+        raise codebook.DataError(
             f"archive has {cols} columns of {sorted(rows)} rows, original is {w.shape}")
     w_hat = archive.decode_matrix()
     total_weights = sum(g.codec.rows * g.codec.cols for g in archive)

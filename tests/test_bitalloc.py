@@ -5,7 +5,7 @@ import pytest
 
 from glvq.bitalloc import (allocate_bits, balanced_bits, compute_salience,
                            kl_objective)
-from glvq.codebook import rtn_quantize
+from glvq.codebook import DataError, rtn_quantize
 from glvq.synthetic import make_layer
 
 
@@ -106,6 +106,15 @@ def test_kl_shape_and_finite_checks():
         kl_objective(np.ones((2, 3)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         kl_objective(np.array([[np.nan]]), np.array([[0.0]]))
+
+
+def test_mismatched_or_non_finite_inputs_are_data_errors():
+    with pytest.raises(DataError):
+        compute_salience([np.ones((4, 3))], np.ones((5, 2)), 2)
+    with pytest.raises(DataError):
+        kl_objective(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(DataError):
+        kl_objective(np.array([[0.0]]), np.array([[np.inf]]))
 
 
 # -------------------------------------------------------------- allocation

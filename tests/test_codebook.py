@@ -351,23 +351,6 @@ def test_init_codec_preconditions():
 
 # -------------------------------------------------------------------- fit
 
-def test_fit_group_converges_immediately_on_representable_input():
-    rng = np.random.default_rng(13)
-    basis = 0.5 * np.eye(3) + 0.02 * rng.standard_normal((3, 3))
-    codec = make_codec(basis, 100.0, 3, 2.0, 3, 5)
-    z = rng.integers(-3, 4, size=(3, 5))
-    w = reconstruct(z, codec)
-    x = rng.standard_normal((5, 8))
-    out_codec, out_codes, report = fit_group(w, x, 3, 3, FitConfig(),
-                                             init=codec)
-    assert report.converged
-    assert report.iterations == 1
-    assert np.array_equal(out_codes, z)
-    w_hat = reconstruct(out_codes, out_codec)
-    data = (((w_hat - w) @ x) ** 2).sum()
-    assert data <= 1e-9
-
-
 def test_fit_group_monotone_history_and_convergence():
     rng = np.random.default_rng(14)
     w = rng.standard_t(4, size=(64, 32))
@@ -395,7 +378,6 @@ def test_fit_group_gradients_only_for_accepted_steps(monkeypatch):
     rng = np.random.default_rng(16)
     w = rng.standard_t(4, size=(32, 16))
     x = rng.standard_normal((16, 64))
-    init = init_codec(w, 4, 2)
     calls = {}
 
     def count(module, name):
@@ -409,10 +391,10 @@ def test_fit_group_gradients_only_for_accepted_steps(monkeypatch):
 
     count(companding, "expand_grad")
     count(companding, "compand")
-    count(codebook, "spectral_normalize")  # once per basis proposal
-    _, _, report = fit_group(w, x, 4, 2, FitConfig(), init=init)
+    count(codebook, "spectral_normalize")  # once at init, once per basis proposal
+    _, _, report = fit_group(w, x, 4, 2, FitConfig())
     accepts = len(report.loss_history) - 1
-    mu_proposals = report.proposals - calls["spectral_normalize"]
+    mu_proposals = report.proposals - (calls["spectral_normalize"] - 1)
     assert 0 < accepts < report.proposals and mu_proposals > 0
     # one gradient at init, then one per accepted step
     assert calls["expand_grad"] == len(report.loss_history)
@@ -526,22 +508,3 @@ def test_code_range_invariant_everywhere():
         for z in (quantize_columns(latent, codec),
                   gcd_quantize_columns(latent, codec)):
             assert z.min() >= lo and z.max() <= hi
-
-
-@pytest.mark.parametrize("field, init_args", [
-    ("dim", (4, 3)), ("bits", (8, 2)), ("rows", (8, 3))])
-def test_fit_group_rejects_init_codec_that_does_not_match(field, init_args):
-    w, x = synthetic.make_group(0, rows=128, cols=64)
-    # a 64 x 128 group has the same size, so only the shape tells them apart
-    source = w.T if field == "rows" else w
-    with pytest.raises(ValueError, match=field):
-        fit_group(w, x, 8, 3, FitConfig(max_iters=1),
-                  init=init_codec(source, *init_args))
-
-
-def test_latent_rejects_weights_of_another_shape():
-    w, _ = synthetic.make_group(0, rows=128, cols=64)
-    codec = init_codec(w.T, 8, 2)
-    with pytest.raises(ValueError, match="do not match"):
-        codebook._latent_of(w, codec)
-    assert codebook._latent_of(w.T, codec).shape == (8, 1024)

@@ -28,6 +28,20 @@ def test_mu_range_enforced():
         expand(0.5, 300.0)
 
 
+def test_mu_zero_is_linear_coding():
+    xs = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(compand(xs, 0.0), xs)
+    assert np.array_equal(expand(xs, 0.0), xs)
+    didy, didmu = expand_grad(xs, 0.0)
+    assert np.array_equal(didy, np.ones_like(xs))
+    assert np.array_equal(didmu, np.zeros_like(xs))
+    assert (compand(0.3, 0), expand(0.3, 0), expand_grad(0.3, 0)) == (0.3, 0.3, (1.0, 0.0))
+    for mu in (5.0, 300.0):
+        for transform in (compand, expand, expand_grad):
+            with pytest.raises(ValueError):
+                transform(0.5, mu)
+
+
 def test_nonfinite_input_rejected():
     with pytest.raises(ValueError):
         compand(float("nan"), 100)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glvq import cli, container, pipeline, synthetic
+from glvq import cli, codebook, container, pipeline, synthetic
 
 QUANT = ["--dim", 4, "--group-width", 8, "--max-iters", 5]
 CFG = pipeline.RunConfig(dim=4, group_width=8, max_iters=5)
@@ -36,9 +36,9 @@ def _files(tmp, w=None, x=None):
     return paths
 
 
-def _quantize(tmp, w=None, x=None, *flags, out="q.glvq"):
+def _quantize(tmp, w=None, x=None, *flags, out="q.glvq", report="q.csv"):
     return ["quantize", *_files(tmp, w, x), "--out", tmp / out,
-            "--report", tmp / "q.csv", *QUANT, *flags]
+            "--report", tmp / report, *QUANT, *flags]
 
 
 def _archive(tmp, edit=lambda data: data):
@@ -100,6 +100,7 @@ CASES = {
     "quantize-shape-mismatch": (3, lambda t: _quantize(t, None, np.ones((12, 4)))),
     "quantize-scale-beyond-fp16": (3, lambda t: _quantize(t, _scale_beyond_fp16())),
     "quantize-out-missing-dir": (3, lambda t: _quantize(t, out="no/q.glvq")),
+    "quantize-report-missing-dir": (3, lambda t: _quantize(t, report="no/q.csv")),
     "quantize-dim-0": (2, lambda t: _quantize(t, None, None, "--dim", 0)),
     "quantize-bits-1": (2, lambda t: _quantize(t, None, None, "--bits", 1)),
     "quantize-dim-beyond-group": (2, lambda t: _quantize(t, None, None, "--dim", 128)),
@@ -171,6 +172,26 @@ def test_library_bad_settings_are_not_data_errors(name):
     with pytest.raises(ValueError) as exc:
         pipeline.quantize_matrix(W, X, dataclasses.replace(CFG, **BAD_SETTINGS[name]))
     assert not isinstance(exc.value, container.DataError)
+
+
+@pytest.mark.parametrize("name", list(BAD_DATA))
+def test_group_fit_bad_data_is_data_error(name):
+    w, x = BAD_DATA[name]
+    assert codebook.DataError is container.DataError
+    with pytest.raises(container.DataError):
+        codebook.fit_group(w, x, 4, 2, codebook.FitConfig(max_iters=5))
+    if w is not W:  # bad weights: init_codec, which takes no calib, rejects them too
+        with pytest.raises(container.DataError):
+            codebook.init_codec(w, 4, 2)
+
+
+@pytest.mark.parametrize("dim, bits", [(0, 2), (4, 0), (129, 2)])
+def test_group_fit_bad_settings_are_not_data_errors(dim, bits):
+    for call in (lambda: codebook.fit_group(W, X, dim, bits),
+                 lambda: codebook.init_codec(W, dim, bits)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert not isinstance(exc.value, container.DataError)
 
 
 @pytest.mark.parametrize("bad", ["weights", "calib"])
