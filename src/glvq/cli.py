@@ -10,6 +10,7 @@ configurations produce byte-identical outputs.
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from pathlib import Path
@@ -75,6 +76,8 @@ def _run_config(args) -> pipeline.RunConfig:
 
 def cmd_quantize(args) -> int:
     cfg = _run_config(args)
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
+        raise ValueError(f"--report and --out name the same file {args.out}")
     weights = container.read_tensor_file(args.weights)
     calib = container.read_tensor_file(args.calib)
     start = time.perf_counter()

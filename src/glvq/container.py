@@ -25,8 +25,8 @@ Reading rejects a record with zero rows or columns, a pad that does not
 tile rows*cols into dim-long columns, a mu that companding does not
 accept (neither 0 nor in [MU_MIN, MU_MAX]), a scale that is not finite
 and positive, or a non-finite basis entry; writing rejects the same
-records, so whatever it writes parses.  Decoding rejects a group whose
-values leave the float32 range.  ArchiveError covers every such case.
+records, so whatever it writes parses.  `decode_matrix` rejects an archive
+whose decoded values do not fit float32.  ArchiveError covers each case.
 
 DataError, a ValueError defined in codebook and re-exported here, marks
 bad input data rather than bad settings.  ArchiveError,
@@ -49,7 +49,6 @@ MAGIC = b"GLVQ"
 VERSION = 1
 _FP16_MAX = float(np.finfo(np.float16).max)  # 65504
 _FP16_MIN_NORMAL = float(np.finfo(np.float16).tiny)  # 2^-14
-_F32_MAX = float(np.finfo(np.float32).max)
 _MAX_AXIS = np.iinfo(np.intp).max // 8  # longest axis of a float64 array
 
 _HEADER = struct.Struct("<4sHI")
@@ -128,22 +127,8 @@ class ArchiveGroup:
                             self.codec.columns)
 
     def decode(self) -> np.ndarray:
-        """Reconstruct the group; raises ArchiveError if the stored basis
-        is so large that the expand stage leaves the float32 range, in
-        which decoded tensors are written."""
-        codec = self.codec
-        with np.errstate(over="ignore"):
-            out = reconstruct(self.codes, codec)
-            # no code exceeds 2^(bits-1) in magnitude, which bounds |G z|
-            # and so every decoded value: only a group whose bound leaves
-            # the range needs its values scanned
-            bound = np.abs(codec.basis).sum(axis=1).max() * 2.0 ** (codec.bits - 1)
-            bound = companding.expand(bound, codec.mu)
-        # min and max propagate NaN, so a NaN fails the scan as well
-        if codec.scale * bound > _F32_MAX and not (
-                -_F32_MAX <= out.min() and out.max() <= _F32_MAX):
-            raise ArchiveError("group decodes to values outside the float32 range")
-        return out
+        """The group as float64 rows x cols; decode_matrix checks its range."""
+        return reconstruct(self.codes, self.codec)
 
 
 class GlvqArchive:
@@ -162,13 +147,22 @@ class GlvqArchive:
         return self.groups[i]
 
     def decode_matrix(self) -> np.ndarray:
-        """Decode every group and concatenate along columns."""
-        if not self.groups:
-            return np.zeros((0, 0))
+        """Decode every group into its column span of one row-major float32
+        tensor; ArchiveError if row counts differ or a value overflows it."""
         rows = {g.codec.rows for g in self.groups}
-        if len(rows) != 1:
+        if len(rows) > 1:
             raise ArchiveError("groups disagree on row count")
-        return np.hstack([g.decode() for g in self.groups])
+        stops = np.cumsum([0] + [g.codec.cols for g in self.groups])
+        out = np.empty((max(rows, default=0), stops[-1]), dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
+            for g, a, b in zip(self.groups, stops, stops[1:]):
+                # the name keeps each decode alive through the next, so malloc
+                # reuses its temporaries' pages instead of returning them to the OS
+                decoded = g.decode()
+                out[:, a:b] = decoded
+        if not np.isfinite(out).all():
+            raise ArchiveError("archive decodes to values outside the float32 range")
+        return out
 
     def to_bytes(self) -> bytes:
         return write_archive((g.codec, g.codes) for g in self.groups)

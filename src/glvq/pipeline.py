@@ -96,8 +96,9 @@ def metrics(weights, w_hat, calib) -> dict:
 
 
 def evaluate(original, archive: container.GlvqArchive, calib) -> dict:
-    """Error metrics of an archive against the original weights; inputs
-    that do not fit it raise codebook.DataError before any decoding."""
+    """Error metrics of an archive against the original weights, scored on
+    the float32 tensor decode_matrix returns (the one dequantize writes);
+    inputs that do not fit it raise codebook.DataError before any decoding."""
     w, x = codebook.check_inputs(original, calib)
     rows, cols = {g.codec.rows for g in archive}, sum(g.codec.cols for g in archive)
     if rows != {w.shape[0]} or cols != w.shape[1]:

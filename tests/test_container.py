@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,41 @@ def test_archive_decode_matches_reconstruct():
     arch = read_archive(write_archive([(codec, codes)]))
     expected = reconstruct(arch[0].codes, arch[0].codec)
     assert np.array_equal(arch[0].decode(), expected)
+
+
+def test_decode_matrix_is_the_row_major_float32_tensor():
+    # widths 1-3, padded groups (5 * cols is not a multiple of 4), mu = 0 and mu > 0
+    rng = np.random.default_rng(6)
+    records = []
+    for cols, mu in ((1, 0.0), (3, 100.0), (2, 0.0), (3, 50.0)):
+        codec = make_codec(rng, 4, 3, 5, cols, mu=mu)
+        records.append((codec, random_codes(rng, 3, 4, codec.columns)))
+    arch = read_archive(write_archive(records))
+    out = arch.decode_matrix()
+    expected = np.hstack([g.decode() for g in arch]).astype("<f4")
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert out.shape == expected.shape == (5, 9)
+    assert out.tobytes() == expected.tobytes()
+    empty = read_archive(write_archive([])).decode_matrix()
+    assert empty.dtype == np.float32 and empty.shape == (0, 0)
+
+
+def test_decode_matrix_peak_memory_stays_near_its_output():
+    # the decode holds the float32 output plus the float64 temporaries of
+    # a group or two, not a float64 copy of the whole layer
+    rng = np.random.default_rng(7)
+    records = []
+    for _ in range(16):
+        codec = make_codec(rng, 8, 2, 256, 64)
+        records.append((codec, random_codes(rng, 2, 8, codec.columns)))
+    arch = read_archive(write_archive(records))
+    tracemalloc.start()
+    try:
+        out = arch.decode_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4 * out.size
 
 
 def test_archive_parse_errors_distinct():

@@ -101,6 +101,7 @@ CASES = {
     "quantize-scale-beyond-fp16": (3, lambda t: _quantize(t, _scale_beyond_fp16())),
     "quantize-out-missing-dir": (3, lambda t: _quantize(t, out="no/q.glvq")),
     "quantize-report-missing-dir": (3, lambda t: _quantize(t, report="no/q.csv")),
+    "quantize-report-is-out": (2, lambda t: _quantize(t, report="q.glvq")),
     "quantize-dim-0": (2, lambda t: _quantize(t, None, None, "--dim", 0)),
     "quantize-bits-1": (2, lambda t: _quantize(t, None, None, "--bits", 1)),
     "quantize-dim-beyond-group": (2, lambda t: _quantize(t, None, None, "--dim", 128)),

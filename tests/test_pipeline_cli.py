@@ -160,6 +160,20 @@ def test_cli_quantize_dequantize_eval(tmp_path, capsys):
     assert "output_mse" in out and "bits_per_weight" in out
 
 
+def test_evaluate_scores_the_tensor_dequantize_writes(tmp_path):
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((64, 256))
+    x = rng.standard_normal((256, 32))
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=64, max_iters=40)
+    arch = tmp_path / "model.glvq"
+    arch.write_bytes(pipeline.quantize_matrix(w, x, cfg).archive_bytes())
+    dq = tmp_path / "west.f32"
+    assert run(["dequantize", arch, "--out", dq]) == 0
+    expected = pipeline.metrics(w, container.read_tensor_file(str(dq)), x)
+    got = pipeline.evaluate(w, container.read_archive(arch.read_bytes()), x)
+    assert {k: got[k] for k in expected} == expected
+
+
 def test_cli_no_bit_alloc_uniform(tmp_path):
     rng = np.random.default_rng(6)
     w = rng.standard_normal((32, 128))
