@@ -188,18 +188,39 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     return companding.compand(lat, codec.mu)
 
 
-def _decode(codes, codec: GroupCodec):
+def _decode(codes, codec: GroupCodec, out=None):
     """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
-    W_hat = scale * expand(G Z) as an m x n matrix."""
-    zf = np.asarray(codes, dtype=float)
-    v = codec.basis @ zf
-    y = companding.expand(v, codec.mu)
-    return zf, v, unreshape_group(codec.scale * y, codec.rows, codec.cols, codec.pad)
+    W_hat = scale * expand(G Z) as an m x n matrix, written into ``out``
+    (any m x n array, cast on assignment) when it is given."""
+    z = np.asarray(codes)
+    # Z as float and G Z share one allocation, two thirds of a decode's
+    # memory: glibc trims its heap only past twice the largest mmap-served
+    # block freed, so decode_matrix reuses a freed group's pages for the
+    # next group instead of returning them and faulting them in again
+    zf, v = np.empty((2,) + z.shape)
+    zf[...] = z
+    np.matmul(codec.basis, zf, out=v)
+    y = companding.expand(v, codec.mu)  # v itself when mu == 0
+    rows, cols, dim = codec.rows, codec.cols, codec.dim
+    if out is None or rows % dim:
+        w_hat = unreshape_group(codec.scale * y, rows, cols, codec.pad)
+        if out is None:
+            return zf, v, w_hat
+        out[...] = w_hat
+    else:
+        # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of
+        # column c; both sides are viewed (d, rows/d, cols), so one strided
+        # product places the group and its inner loop runs along a row of out
+        r = rows // dim
+        np.multiply(y.reshape(dim, cols, r).transpose(0, 2, 1), codec.scale,
+                    out=out.reshape(r, dim, cols).transpose(1, 0, 2))
+    return zf, v, out
 
 
-def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
-    """Decode codes to an m x n weight matrix: scale * expand(G Z)."""
-    return _decode(codes, codec)[2]
+def reconstruct(codes, codec: GroupCodec, out=None) -> np.ndarray:
+    """Decode codes to an m x n weight matrix: scale * expand(G Z), as a
+    new float64 array or written into ``out`` and returned."""
+    return _decode(codes, codec, out)[2]
 
 
 def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = LAM) -> float:

@@ -37,20 +37,36 @@ def _check_finite(x, name: str) -> np.ndarray:
     return a
 
 
+def _closed_form(a, inner, outer, transcendental):
+    """sgn(a) * transcendental(inner |a|) / outer in one fresh array (also
+    for a scalar), rounded step by step as that expression is."""
+    out = np.abs(a, out=np.empty_like(a))
+    out *= inner
+    transcendental(out, out=out)
+    # x sgn(a) without a sign array: out > 0 wherever a != 0, so copysign is
+    # exact, and adding +0.0 turns its -0.0 at a = -0.0 into sgn(a) * 0 = +0.0
+    np.copysign(out, a, out=out)
+    out += 0.0
+    out /= outer
+    return out if out.ndim else float(out)
+
+
 def compand(x, mu):
     """Compress ``x`` with the mu-law transform.  Scalar in, scalar out."""
     mu = _check_mu(mu)
     a = _check_finite(x, "compand input")
-    out = a if mu == 0.0 else np.sign(a) * np.log1p(mu * np.abs(a)) / np.log1p(mu)
-    return out if out.ndim else float(out)
+    if mu == 0.0:
+        return a if a.ndim else float(a)
+    return _closed_form(a, mu, np.log1p(mu), np.log1p)
 
 
 def expand(y, mu):
     """Invert the mu-law transform: expand(compand(x)) == x."""
     mu = _check_mu(mu)
     a = _check_finite(y, "expand input")
-    out = a if mu == 0.0 else np.sign(a) * np.expm1(np.abs(a) * np.log1p(mu)) / mu
-    return out if out.ndim else float(out)
+    if mu == 0.0:
+        return a if a.ndim else float(a)
+    return _closed_form(a, np.log1p(mu), mu, np.expm1)
 
 
 def expand_grad(y, mu):

@@ -17,7 +17,10 @@ Archive layout (".glvq", all multi-byte integers little-endian):
 
 Codes are stored column-major as unsigned offsets u = z + 2^(bits-1),
 packed LSB-first within each byte; the final partial byte is zero
-padded.  Side information is rounded to IEEE binary16 (nearest-even);
+padded.  So 8 consecutive codes fill exactly `bits` bytes, and
+pack_codes and unpack_codes work by shifts on those whole bytes, 8 codes
+at a time.  unpack_codes returns int8 codes, which hold every width up
+to MAX_BITS = 8.  Side information is rounded to IEEE binary16 (nearest-even);
 a scale outside binary16's normal range, or a basis entry beyond its
 maximum, is rejected at write time.  Codes round-trip bit exactly.
 
@@ -88,15 +91,30 @@ def pack_codes(codes, bits: int) -> bytes:
     z = np.asarray(codes)
     if z.size and (z.min() < lo or z.max() > hi):
         raise ValueError(f"codes outside [{lo}, {hi}] for bits={bits}")
-    u = (z.astype(np.int64).ravel(order="F") + 2 ** (bits - 1)).astype(np.uint8)
-    if u.size == 0:
+    if z.dtype.kind not in "iu":  # integral floats or bools: cast exactly first
+        z = z.astype(np.int64)
+    n = z.size
+    if n == 0:
         return b""
-    bitmat = np.unpackbits(u[:, None], axis=1, bitorder="little")[:, :bits]
-    return np.packbits(bitmat.ravel(), bitorder="little").tobytes()
+    # offsets u = z + 2^(b-1) in column-major order, then zeros up to a
+    # whole number of 8-code blocks; the cast wraps mod 256, so adding the
+    # offset in uint8 gives u exactly whatever the integer dtype of z
+    u = np.zeros((n + 7) // 8 * 8, dtype=np.uint8)
+    head = u[:n]
+    np.copyto(head.reshape(z.shape[::-1]), z.T, casting="unsafe")
+    head += np.uint8(2 ** (bits - 1))
+    u = u.reshape(-1, 8)
+    out = np.zeros((u.shape[0], bits), dtype=np.uint8)
+    for k in range(8):  # code k of a block starts k * bits bits in
+        byte, shift = divmod(k * bits, 8)
+        out[:, byte] |= u[:, k] << shift
+        if shift + bits > 8:  # its high bits run into the next byte
+            out[:, byte + 1] |= u[:, k] >> (8 - shift)
+    return out.tobytes()[: (n * bits + 7) // 8]
 
 
 def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
-    """Exact inverse of pack_codes; returns a dim x columns int matrix."""
+    """Exact inverse of pack_codes; returns a dim x columns int8 matrix."""
     if not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
     n = dim * columns
@@ -104,13 +122,22 @@ def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarra
     if len(payload) != need:
         raise TruncatedPayloadError(
             f"payload is {len(payload)} bytes, expected {need}")
-    if n == 0:
-        return np.zeros((dim, columns), dtype=np.int64)
+    blocks = (n + 7) // 8
     raw = np.frombuffer(payload, dtype=np.uint8)
-    bitstream = np.unpackbits(raw, bitorder="little")[: n * bits].reshape(n, bits)
-    u = bitstream @ (1 << np.arange(bits, dtype=np.int64))
-    z = u.astype(np.int64) - 2 ** (bits - 1)
-    return z.reshape((dim, columns), order="F")
+    if raw.size != blocks * bits:  # a partial last block: zero-fill it
+        raw = np.concatenate([raw, np.zeros(blocks * bits - raw.size, np.uint8)])
+    raw = raw.reshape(blocks, bits)
+    u = np.empty((blocks, 8), dtype=np.uint8)
+    mask = np.uint8(2 ** bits - 1)
+    for k in range(8):
+        byte, shift = divmod(k * bits, 8)
+        code = np.right_shift(raw[:, byte], shift, out=u[:, k])
+        if shift + bits > 8:
+            code |= raw[:, byte + 1] << (8 - shift)
+        code &= mask
+    # z = u - 2^(b-1) wraps mod 256 in uint8; read as int8 it is exact
+    u -= np.uint8(2 ** (bits - 1))
+    return u.view(np.int8).ravel()[:n].reshape(columns, dim).T
 
 
 @dataclass
@@ -126,9 +153,10 @@ class ArchiveGroup:
         return unpack_codes(self.payload, self.codec.bits, self.codec.dim,
                             self.codec.columns)
 
-    def decode(self) -> np.ndarray:
-        """The group as float64 rows x cols; decode_matrix checks its range."""
-        return reconstruct(self.codes, self.codec)
+    def decode(self, out=None) -> np.ndarray:
+        """The group as float64 rows x cols, or written into ``out`` (cast
+        to its dtype); decode_matrix checks the range of what it writes."""
+        return reconstruct(self.codes, self.codec, out)
 
 
 class GlvqArchive:
@@ -156,10 +184,7 @@ class GlvqArchive:
         out = np.empty((max(rows, default=0), stops[-1]), dtype=np.float32)
         with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
             for g, a, b in zip(self.groups, stops, stops[1:]):
-                # the name keeps each decode alive through the next, so malloc
-                # reuses its temporaries' pages instead of returning them to the OS
-                decoded = g.decode()
-                out[:, a:b] = decoded
+                g.decode(out[:, a:b])
         if not np.isfinite(out).all():
             raise ArchiveError("archive decodes to values outside the float32 range")
         return out

@@ -89,6 +89,22 @@ def test_reconstruct_inverts_quantize_on_representable_input():
         assert np.allclose(w2, w, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("mu", (0.0, 50.0))
+def test_decode_leaves_g_z_as_computed(mu):
+    # at mu = 0 expand returns G Z itself, so the scaling that follows must
+    # not run in place: the fit's gradients reuse the returned G Z
+    rng = np.random.default_rng(3)
+    codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
+                       mu, 3, 2.5, 8, 6)
+    z = rng.integers(-4, 4, size=(4, 12))
+    expected = reconstruct(z, codec)
+    for out in (None, np.empty((8, 6), dtype=np.float32)):
+        zf, v, w_hat = codebook._decode(z, codec, out)
+        assert np.array_equal(zf, z)
+        assert v.tobytes() == (codec.basis @ zf).tobytes()
+        assert w_hat.tobytes() == expected.astype(w_hat.dtype).tobytes()
+
+
 def _latent(w, codec):
     lat, _ = reshape_group(w, codec.dim)
     lat = lat / codec.scale

@@ -21,6 +21,29 @@ def test_expand_fixed_points():
     assert expand(y, 255) == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("mu", (MU_MIN, 10.140625, 75.8, 100.0, MU_MAX))
+def test_transforms_match_the_closed_forms_bit_for_bit(mu):
+    # signed zeros, subnormals, tiny, moderate and large values; expand
+    # overflows to +-inf beyond |y| ~ 709 / log1p(mu), as the closed form does
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(4)
+    base = np.array([0.0, tiny, 1e-310, 1e-300, 1e-20, 0.5, 1.0, 3.7, 50.0,
+                     1e3, 1e300, np.finfo(float).max])
+    x = np.concatenate([base, -base,
+                        rng.standard_normal(5000) * 10.0 ** rng.uniform(-300, 3, 5000)])
+    with np.errstate(over="ignore"):
+        closed = {
+            compand: np.sign(x) * np.log1p(mu * np.abs(x)) / np.log1p(mu),
+            expand: np.sign(x) * np.expm1(np.abs(x) * np.log1p(mu)) / mu,
+        }
+        for transform, expected in closed.items():
+            assert transform(x, mu).tobytes() == expected.tobytes()
+            for v, e in zip(x[:24], expected[:24]):
+                got = transform(float(v), mu)
+                assert type(got) is float and np.float64(got).tobytes() == e.tobytes()
+    assert not np.signbit(compand(-0.0, mu)) and not np.signbit(expand(-0.0, mu))
+
+
 def test_mu_range_enforced():
     with pytest.raises(ValueError):
         compand(0.5, 5.0)

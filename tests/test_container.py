@@ -70,6 +70,52 @@ def test_pack_unpack_round_trip_all_widths():
             assert np.array_equal(back, z)
 
 
+def oracle_pack(codes, bits):
+    """Bit-by-bit reference packer: offset u = z + 2^(b-1) of the i-th code
+    in column-major order puts its bit t at stream position i * bits + t,
+    and stream position p is bit p % 8 of byte p // 8."""
+    flat = np.asarray(codes).ravel(order="F")
+    out = bytearray((flat.size * bits + 7) // 8)
+    for i, z in enumerate(flat.tolist()):
+        u = z + 2 ** (bits - 1)
+        for t in range(bits):
+            if (u >> t) & 1:
+                p = i * bits + t
+                out[p // 8] |= 1 << (p % 8)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_pack_unpack_match_bitwise_oracle(bits):
+    # code counts below, at and past multiples of 8, both code extremes
+    rng = np.random.default_rng(bits)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    for dim, cols in ((1, 1), (1, 7), (3, 5), (2, 4), (8, 1), (3, 3), (5, 13), (4, 17)):
+        z = random_codes(rng, bits, dim, cols)
+        z.flat[0], z.flat[-1] = lo, hi
+        expected = oracle_pack(z, bits)
+        assert pack_codes(z, bits) == expected
+        back = unpack_codes(expected, bits, dim, cols)
+        assert back.dtype == np.int8 and back.shape == (dim, cols)
+        assert np.array_equal(back, z)
+        # an int8 matrix (what unpack returns) packs to the same bytes
+        assert pack_codes(back, bits) == expected
+
+
+def test_pack_unpack_use_no_bit_matrix(monkeypatch):
+    # 8 codes fill exactly `bits` bytes, so both directions work by shifts
+    # on whole bytes; an n x bits bit matrix must not come back
+    def no_bit_matrix(*args, **kwargs):
+        raise AssertionError("np.unpackbits/np.packbits while (un)packing codes")
+
+    monkeypatch.setattr(np, "unpackbits", no_bit_matrix)
+    monkeypatch.setattr(np, "packbits", no_bit_matrix)
+    rng = np.random.default_rng(8)
+    for bits in range(1, 9):
+        z = random_codes(rng, bits, 3, 11)
+        assert np.array_equal(unpack_codes(pack_codes(z, bits), bits, 3, 11), z)
+
+
 # ----------------------------------------------------------------- archive
 
 def test_archive_single_zero_group():
@@ -97,6 +143,20 @@ def test_archive_write_read_write_byte_identical():
     assert data1 == data2
     # determinism: same inputs, same bytes
     assert write_archive(records) == data1
+
+
+def test_archive_round_trips_bytes_at_every_width():
+    # re-packing the int8 codes read back must give the same bytes, also at
+    # 8 bits, where the offset 128 does not fit int8
+    rng = np.random.default_rng(9)
+    records = []
+    for bits in range(1, 9):
+        codec = make_codec(rng, 3, bits, 7, 5)
+        codes = random_codes(rng, bits, 3, codec.columns)
+        codes.flat[0], codes.flat[-1] = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        records.append((codec, codes))
+    data = write_archive(records)
+    assert read_archive(data).to_bytes() == data
 
 
 def test_archive_codes_bit_exact_and_sideinfo_fp16():
@@ -170,6 +230,27 @@ def test_decode_matrix_is_the_row_major_float32_tensor():
     assert empty.dtype == np.float32 and empty.shape == (0, 0)
 
 
+def test_decode_matrix_places_whole_blocks_as_the_group_decode():
+    # rows = 12 is a multiple of dim 1, 2, 3, 4 and 12, so those groups are
+    # placed straight from the latent; dim 5 and 8 groups are padded
+    rng = np.random.default_rng(10)
+    records = []
+    for dim, cols, mu in ((4, 3, 0.0), (3, 2, 100.0), (8, 5, 10.0), (12, 4, 255.0),
+                          (1, 6, 0.0), (2, 7, 60.0), (5, 3, 30.0), (4, 1, 75.0)):
+        codec = make_codec(rng, dim, 2, 12, cols, mu=mu)
+        records.append((codec, random_codes(rng, 2, dim, codec.columns)))
+    arch = read_archive(write_archive(records))
+    out = arch.decode_matrix()
+    expected = np.hstack([g.decode() for g in arch]).astype("<f4")
+    assert out.shape == expected.shape == (12, 31)
+    assert out.tobytes() == expected.tobytes()
+    # a group decoded into a span of a larger array writes that span only
+    span = np.full((12, 9), 7.0, dtype=np.float32)
+    arch[1].decode(span[:, 3:5])
+    assert span[:, 3:5].tobytes() == expected[:, 3:5].tobytes()
+    assert (span[:, :3] == 7.0).all() and (span[:, 5:] == 7.0).all()
+
+
 def test_decode_matrix_peak_memory_stays_near_its_output():
     # the decode holds the float32 output plus the float64 temporaries of
     # a group or two, not a float64 copy of the whole layer
@@ -186,6 +267,26 @@ def test_decode_matrix_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 4 * out.size
+
+
+def test_decode_matrix_peak_is_three_group_latents_over_its_output():
+    # beyond the float32 output the decode holds one group's int8 codes,
+    # Z as float and G Z (one allocation) and expand's result: 26 bytes a
+    # weight, 3.25 float64 copies of the group; measured 3.38 here, with
+    # numpy's small fixed overhead (the decode before held 7.0)
+    rng = np.random.default_rng(11)
+    records = []
+    for _ in range(4):
+        codec = make_codec(rng, 8, 3, 512, 128, mu=75.0)
+        records.append((codec, random_codes(rng, 3, 8, codec.columns)))
+    arch = read_archive(write_archive(records))
+    tracemalloc.start()
+    try:
+        out = arch.decode_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 3.5 * 8 * 512 * 128
 
 
 def test_archive_parse_errors_distinct():
