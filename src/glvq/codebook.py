@@ -21,6 +21,7 @@ from . import companding
 from .lattice import babai_round, check_basis
 
 MAX_BITS = 8  # the widest code, in bits, that an archive record holds
+_MMAP_THRESHOLD = 128 * 1024  # glibc's initial M_MMAP_THRESHOLD, in bytes
 
 # Optimizer constants: the initial (and largest) step sizes of the basis
 # and curvature line searches, the weight of the basis anchor penalty,
@@ -191,35 +192,45 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
 def _decode(codes, codec: GroupCodec, out=None):
     """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
     W_hat = scale * expand(G Z) as an m x n matrix, written into ``out``
-    (any m x n array, cast on assignment) when it is given."""
+    (a float m x n array) or, when it is None, into a new column-major
+    float64 one."""
     z = np.asarray(codes)
-    # Z as float and G Z share one allocation, two thirds of a decode's
-    # memory: glibc trims its heap only past twice the largest mmap-served
-    # block freed, so decode_matrix reuses a freed group's pages for the
-    # next group instead of returning them and faulting them in again
-    zf, v = np.empty((2,) + z.shape)
+    # glibc trims its heap only past twice the largest mmap-served block
+    # freed.  Where Z as float and G Z are mmap-served anyway, they share
+    # one allocation, so decode_matrix reuses a freed group's pages for the
+    # next group instead of returning them and faulting them in again;
+    # below that, one block the size of both would cross the threshold
+    # and keep more heap
+    if z.size * 8 > _MMAP_THRESHOLD:
+        zf, v = np.empty((2,) + z.shape)
+    else:
+        zf, v = np.empty(z.shape), np.empty(z.shape)
     zf[...] = z
     np.matmul(codec.basis, zf, out=v)
     y = companding.expand(v, codec.mu)  # v itself when mu == 0
     rows, cols, dim = codec.rows, codec.cols, codec.dim
-    if out is None or rows % dim:
-        w_hat = unreshape_group(codec.scale * y, rows, cols, codec.pad)
-        if out is None:
-            return zf, v, w_hat
-        out[...] = w_hat
+    if out is None:
+        out = np.empty((cols, rows)).T
+    if rows % dim:
+        src, dst = unreshape_group(y, rows, cols, codec.pad), out
     else:
         # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of
         # column c; both sides are viewed (d, rows/d, cols), so one strided
-        # product places the group and its inner loop runs along a row of out
+        # product places the group
         r = rows // dim
-        np.multiply(y.reshape(dim, cols, r).transpose(0, 2, 1), codec.scale,
-                    out=out.reshape(r, dim, cols).transpose(1, 0, 2))
+        src = y.reshape(dim, cols, r).transpose(0, 2, 1)
+        dst = out.reshape(r, dim, cols).transpose(1, 0, 2)
+    # the inner loop runs along out's contiguous axis: a row of a span of
+    # a row-major tensor, or a column of a new column-major array
+    order = "F" if out.flags.f_contiguous else "C"
+    np.multiply(src, codec.scale, out=dst, order=order)
     return zf, v, out
 
 
 def reconstruct(codes, codec: GroupCodec, out=None) -> np.ndarray:
     """Decode codes to an m x n weight matrix: scale * expand(G Z), as a
-    new float64 array or written into ``out`` and returned."""
+    new float64 array or written into ``out`` (a float m x n array) and
+    returned."""
     return _decode(codes, codec, out)[2]
 
 

@@ -154,8 +154,9 @@ class ArchiveGroup:
                             self.codec.columns)
 
     def decode(self, out=None) -> np.ndarray:
-        """The group as float64 rows x cols, or written into ``out`` (cast
-        to its dtype); decode_matrix checks the range of what it writes."""
+        """The group as float64 rows x cols, or written into ``out`` (a
+        float rows x cols array, cast to its dtype); decode_matrix checks
+        the range of what it writes."""
         return reconstruct(self.codes, self.codec, out)
 
 

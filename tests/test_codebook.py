@@ -105,6 +105,22 @@ def test_decode_leaves_g_z_as_computed(mu):
         assert w_hat.tobytes() == expected.astype(w_hat.dtype).tobytes()
 
 
+@pytest.mark.parametrize("rows", (8, 7))
+def test_reconstruct_is_the_column_major_closed_form(rows):
+    # without a destination the decode places into a new column-major
+    # array, the layout (and bytes) the fit's products have always seen
+    rng = np.random.default_rng(4)
+    pad = (-rows * 6) % 4
+    codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
+                       50.0, 3, 2.5, rows, 6, pad)
+    z = rng.integers(-4, 4, size=(4, (rows * 6 + pad) // 4))
+    closed = unreshape_group(
+        codec.scale * companding.expand(codec.basis @ z, codec.mu), rows, 6, pad)
+    w = reconstruct(z, codec)
+    assert w.flags.f_contiguous and w.dtype == np.float64
+    assert w.tobytes(order="A") == closed.tobytes(order="A")
+
+
 def _latent(w, codec):
     lat, _ = reshape_group(w, codec.dim)
     lat = lat / codec.scale
