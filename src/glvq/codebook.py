@@ -22,6 +22,7 @@ from .lattice import babai_round, check_basis
 
 MAX_BITS = 8  # the widest code, in bits, that an archive record holds
 _MMAP_THRESHOLD = 128 * 1024  # glibc's initial M_MMAP_THRESHOLD, in bytes
+_SLAB = 16384  # latent values reshape_group copies at a time: 128 KiB
 
 # Optimizer constants: the initial (and largest) step sizes of the basis
 # and curvature line searches, the weight of the basis anchor penalty,
@@ -132,10 +133,28 @@ def code_range(bits: int):
 def reshape_group(weights, dim: int):
     """Flatten column-major, zero-pad to a multiple of ``dim`` and chunk
     into consecutive length-d column vectors.  Returns (d x l array, pad).
+
+    The array is a new C-contiguous float64 one that shares no memory
+    with ``weights``, so callers may scale it in place.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights)
+    if w.ndim == 2 and w.shape[0] % dim == 0:
+        # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of
+        # column c, so the latent viewed (d, cols, rows/d) is the group
+        # viewed (rows/d, d, cols), transposed: one strided copy, with the
+        # cast, a slab of block rows at a time so that what it reads and
+        # writes stays in cache
+        rows, cols = w.shape
+        r = rows // dim
+        blocks = w.reshape(r, dim, cols)
+        lat = np.empty((dim, cols, r))
+        step = max(1, _SLAB // max(dim * cols, 1))
+        for q in range(0, r, step):
+            lat[:, :, q:q + step] = blocks[q:q + step].transpose(1, 2, 0)
+        return lat.reshape(dim, cols * r), 0
+    w = np.asarray(w, dtype=float)
     flat = w.ravel(order="F")
     pad = (-flat.size) % dim
     if pad:
@@ -155,7 +174,7 @@ def quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
     """Babai-round every latent column, then clamp into the code range."""
     z = babai_round(codec.basis, latent)
     lo, hi = code_range(codec.bits)
-    return np.clip(z, lo, hi)
+    return np.clip(z, lo, hi, out=z)
 
 
 def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
@@ -264,7 +283,8 @@ def _hessian_grads(codec, terms, lam):
     """Analytic gradients w.r.t. basis and mu from _hessian_loss's terms,
     with codes held constant (straight-through past the rounding)."""
     zf, v, p, dg = terms
-    g_lat, _ = reshape_group(2.0 * p, codec.dim)  # pad positions land on zeros
+    g_lat, _ = reshape_group(p, codec.dim)  # pad positions land on zeros
+    g_lat *= 2.0
     didy, didmu = companding.expand_grad(v, codec.mu)
     g_v = g_lat * (codec.scale * didy)
     grad_mu = float((g_lat * (codec.scale * didmu)).sum())
@@ -328,7 +348,7 @@ def _init_group(w, dim, bits, cfg: FitConfig):
             mu = companding.init_mu(companding.kurtosis(w))
         except companding.DegenerateSampleError:
             mu = companding.MU_MIN
-    amax = float(np.max(np.abs(w)))
+    amax = float(max(w.max(), -w.min()))
     codec = GroupCodec(basis=2.0 ** (1 - bits) * np.eye(dim), mu=mu, bits=bits,
                        scale=amax or 1.0, dim=dim, pad=(-rows * cols) % dim,
                        rows=rows, cols=cols)
@@ -338,12 +358,13 @@ def _init_group(w, dim, bits, cfg: FitConfig):
 
     if cfg.fixed_basis:
         chol = np.eye(dim)
-        coords = lat
+        mags = np.abs(lat)  # not in place: lat is returned
     else:
         cov = lat @ lat.T / lat.shape[1] + COV_RIDGE * np.eye(dim)
         chol = np.linalg.cholesky(cov)
-        coords = np.linalg.inv(chol) @ lat
-    q = float(np.percentile(np.abs(coords), 99.0))
+        mags = np.linalg.inv(chol) @ lat
+        np.abs(mags, out=mags)
+    q = float(np.percentile(mags, 99.0, overwrite_input=True))
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0

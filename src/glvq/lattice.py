@@ -128,7 +128,9 @@ def babai_round(basis, target) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("target has non-finite entries")
     x = np.linalg.inv(b) @ t
-    return np.floor(x + 0.5).astype(np.int64)
+    x += 0.5
+    np.floor(x, out=x)
+    return x.astype(np.int64)
 
 
 def decode(basis, codes) -> np.ndarray:

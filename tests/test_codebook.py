@@ -44,6 +44,33 @@ def test_reshape_round_trip_random_shapes():
         assert np.array_equal(unreshape_group(lat, rows, cols, pad), w)
 
 
+def _reshape_reference(weights, dim):
+    # the column-major formula itself: float64 conversion, F-order ravel,
+    # zero pad, then consecutive length-d chunks as columns
+    flat = np.asarray(weights, dtype=float).ravel(order="F")
+    flat = np.concatenate([flat, np.zeros((-flat.size) % dim)])
+    return flat.reshape(-1, dim).T
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_reshape_matches_the_column_major_formula(dim):
+    rng = np.random.default_rng(dim)
+    for rows in sorted({4 * dim, 4 * dim + 1}):  # whole blocks and padded
+        wide = rng.standard_normal((rows, 24))
+        inputs = (wide.astype(np.float32)[:, 5:12],  # a C-order column slice
+                  wide,
+                  wide[:, 3:9],
+                  rng.integers(-50, 50, size=(rows, 7)),
+                  np.zeros((rows, 0)))
+        for w in inputs:
+            lat, pad = reshape_group(w, dim)
+            assert pad == (-w.size) % dim
+            assert lat.dtype == np.float64 and lat.flags.c_contiguous
+            # callers divide the latent by the scale in place
+            assert not np.shares_memory(lat, w)
+            assert np.array_equal(lat, _reshape_reference(w, dim))
+
+
 # ---------------------------------------------------------------- quantize
 
 def test_quantize_lattice_fixed_point():
@@ -59,6 +86,17 @@ def test_quantize_clamps_to_code_range():
     codec = make_codec(np.eye(2), 0.0, 2, 1.0, 2, 1)
     latent = np.array([[3.7], [-9.1]])
     assert np.array_equal(quantize_columns(latent, codec), [[1], [-2]])
+
+
+def test_quantize_leaves_the_latent_unchanged():
+    rng = np.random.default_rng(19)
+    codec = make_codec(np.eye(3) + 0.2 * rng.standard_normal((3, 3)),
+                       0.0, 2, 1.0, 3, 40)
+    latent = 3.0 * rng.standard_normal((3, 40))
+    before = latent.copy()
+    z = quantize_columns(latent, codec)
+    assert np.array_equal(latent, before)
+    assert z.dtype == np.int64 and z.min() >= -2 and z.max() <= 1
 
 
 def test_quantize_zero_latent():
@@ -374,6 +412,28 @@ def test_init_codec_matches_lu_solve_form():
         assert np.allclose(codec.basis, expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True),
+                                    FitConfig(companding=False)))
+def test_init_codec_leaves_the_weights_unchanged(config):
+    # float64 weights reach the encode steps uncopied
+    rng = np.random.default_rng(17)
+    for w in (rng.standard_t(4, size=(64, 24)),
+              rng.standard_t(4, size=(64, 48)).astype(np.float32)[:, 8:32]):
+        before = w.copy()
+        init_codec(w, 8, 2, config)
+        assert np.array_equal(w, before)
+
+
+@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True)))
+def test_init_group_returns_the_codec_latent(config):
+    # with fixed_basis the percentile is taken over the latent itself, so
+    # its magnitudes must not be taken in place
+    rng = np.random.default_rng(18)
+    w = rng.standard_t(4, size=(64, 24))
+    codec, lat = codebook._init_group(w, 8, 2, config)
+    assert np.array_equal(lat, codebook._latent_of(w, codec))
+
+
 def test_init_codec_preconditions():
     with pytest.raises(ValueError):
         init_codec(np.ones((1, 2)), 4, 2)  # 2 weights cannot host d=4
@@ -540,3 +600,47 @@ def test_code_range_invariant_everywhere():
         for z in (quantize_columns(latent, codec),
                   gcd_quantize_columns(latent, codec)):
             assert z.min() >= lo and z.max() <= hi
+
+
+# ------------------------------------------------------------ peak memory
+
+# numpy's fixed cost beyond the arrays (headers, d x d matrices, LAPACK
+# work space); one more group-sized temporary here is 4 MiB
+_OVERHEAD = 1 << 16
+
+
+def _large_group():
+    # a decode_large group: a 4096 x 128 float32 column slice of a wider
+    # C-order matrix
+    rng = np.random.default_rng(20)
+    wide = rng.standard_t(4, size=(4096, 384)).astype(np.float32)
+    return wide[:, 128:256]
+
+
+def test_reshape_peak_is_at_most_two_group_copies(traced_peak):
+    # the latent alone (the formula's F-order ravel and transposed copy
+    # held 3)
+    g = _large_group()
+    _, peak = traced_peak(reshape_group, g, 8)
+    assert peak <= 2 * 8 * g.size + _OVERHEAD
+
+
+@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True)))
+def test_init_codec_peak_is_at_most_three_group_copies(traced_peak, config):
+    # the float64 weights, the latent and one of: compand's result, the
+    # whitened coordinates, their magnitudes (5 when |w|, c * c, the
+    # magnitudes and the percentile's flattened copy were temporaries)
+    g = _large_group()
+    init_codec(g, 8, 2, config)  # numpy's first percentile imports numpy.ma
+    _, peak = traced_peak(init_codec, g, 8, 2, config)
+    assert peak <= 3 * 8 * g.size + _OVERHEAD
+
+
+def test_quantize_peak_is_at_most_two_group_copies(traced_peak):
+    # G^-1 t, rounded in place, and its int64 cast, clipped in place (3
+    # when t + 1/2 and its floor were temporaries)
+    g = _large_group()
+    codec = init_codec(g, 8, 2)
+    latent = codebook._latent_of(g, codec)
+    _, peak = traced_peak(quantize_columns, latent, codec)
+    assert peak <= 2 * 8 * g.size + _OVERHEAD

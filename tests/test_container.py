@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,7 +250,7 @@ def test_decode_matrix_places_whole_blocks_as_the_group_decode():
     assert (span[:, :3] == 7.0).all() and (span[:, 5:] == 7.0).all()
 
 
-def test_decode_matrix_peak_memory_stays_near_its_output():
+def test_decode_matrix_peak_memory_stays_near_its_output(traced_peak):
     # the decode holds the float32 output plus the float64 temporaries of
     # a group or two, not a float64 copy of the whole layer
     rng = np.random.default_rng(7)
@@ -260,16 +259,11 @@ def test_decode_matrix_peak_memory_stays_near_its_output():
         codec = make_codec(rng, 8, 2, 256, 64)
         records.append((codec, random_codes(rng, 2, 8, codec.columns)))
     arch = read_archive(write_archive(records))
-    tracemalloc.start()
-    try:
-        out = arch.decode_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(arch.decode_matrix)
     assert peak <= 2 * 4 * out.size
 
 
-def test_decode_matrix_peak_is_three_group_latents_over_its_output():
+def test_decode_matrix_peak_is_three_group_latents_over_its_output(traced_peak):
     # beyond the float32 output the decode holds one group's int8 codes,
     # Z as float and G Z (one allocation) and expand's result: 26 bytes a
     # weight, 3.25 float64 copies of the group; measured 3.38 here, with
@@ -280,12 +274,7 @@ def test_decode_matrix_peak_is_three_group_latents_over_its_output():
         codec = make_codec(rng, 8, 3, 512, 128, mu=75.0)
         records.append((codec, random_codes(rng, 3, 8, codec.columns)))
     arch = read_archive(write_archive(records))
-    tracemalloc.start()
-    try:
-        out = arch.decode_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(arch.decode_matrix)
     assert peak - out.nbytes <= 3.5 * 8 * 512 * 128
 
 

@@ -113,8 +113,14 @@ def test_lll_postconditions_random():
 
 def test_babai_identity_and_ties():
     assert np.array_equal(babai_round(np.eye(2), [0.4, -0.6]), [0, -1])
-    # half-integer coordinates round toward +inf
-    assert np.array_equal(babai_round(np.eye(2), [0.5, -0.5]), [1, 0])
+    # half-integer coordinates round toward +inf, as int64, for vector and
+    # matrix targets alike
+    t = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5])
+    expected = np.array([1, 0, 2, -1, 3, -2])
+    for codes, want in ((babai_round(np.eye(6), t), expected),
+                        (babai_round(np.eye(3), t.reshape(3, 2)),
+                         expected.reshape(3, 2))):
+        assert codes.dtype == np.int64 and np.array_equal(codes, want)
 
 
 def test_babai_skew_example():
