@@ -311,8 +311,12 @@ def grad_mu(weights, calib, codec, codes, basis_init, lam: float = LAM) -> float
 
 def spectral_normalize(basis) -> np.ndarray:
     """Clamp the singular values into [SIGMA_MIN, SIGMA_MAX], keeping the
-    singular vectors.  Identity on inputs already in range; idempotent."""
+    singular vectors.  Identity on inputs already in range; idempotent.
+    A non-finite entry raises ValueError: LAPACK's SVD returns NaNs for
+    it or does not return at all."""
     b = np.asarray(basis, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("generation matrix has non-finite entries")
     u, s, vt = np.linalg.svd(b)
     if np.all((s >= SIGMA_MIN) & (s <= SIGMA_MAX)):
         return b

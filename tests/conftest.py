@@ -1,6 +1,19 @@
+import multiprocessing
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_processes():
+    """Fail a test that leaves a multiprocessing child running, and end
+    the child so the next test does not inherit it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"test left processes running: {left}"
 
 
 @pytest.fixture

@@ -365,6 +365,17 @@ def test_spectral_normalize_idempotent():
         assert s.min() >= 0.01 - 1e-9 and s.max() <= 10.0 + 1e-9
 
 
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spectral_normalize_rejects_non_finite(d, bad):
+    # LAPACK's SVD of an 8x8 basis with one inf did not return in 24
+    # CPU-minutes, and a 2x2 one came back as NaNs
+    b = np.eye(d)
+    b[d - 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_normalize(b)
+
+
 # ------------------------------------------------------------------- init
 
 def test_init_codec_near_diagonal_for_iid_weights():

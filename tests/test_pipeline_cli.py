@@ -1,7 +1,12 @@
 import argparse
 import csv
 import dataclasses
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,8 @@ from glvq.codebook import (GroupCodec, init_codec, quantize_columns, reconstruct
 from glvq import companding
 
 FAST = ["--max-iters", "40"]
+# for a child interpreter: this glvq first on its path
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]))
 
 
 def write_pair(tmp_path, name, array):
@@ -125,6 +132,120 @@ def test_evaluate_metrics_shape_checks():
     assert metrics["output_mse"] >= 0.0
     with pytest.raises(ValueError):
         pipeline.evaluate(w[:, :-1], arch, x)
+
+
+# ------------------------------------------------------------ parallel fits
+
+def test_quantize_matrix_same_for_any_worker_count():
+    w, x = synthetic.make_layer(3, n_groups=5, group_cols=32, calib_T=24)
+    cfg = pipeline.RunConfig(dim=4, bits=1.5, group_width=32, max_iters=30)
+    serial = pipeline.quantize_matrix(w, x, cfg)
+    # 3 workers on a machine of fewer CPUs share them
+    for workers in (2, 3):
+        forked = pipeline.quantize_matrix(w, x, cfg, workers=workers)
+        assert forked.archive_bytes() == serial.archive_bytes()
+        assert forked.bits.tolist() == serial.bits.tolist()
+        assert forked.reports == serial.reports
+        assert forked.spans == serial.spans
+        assert not multiprocessing.active_children()
+    with pytest.raises(ValueError, match="workers"):
+        pipeline.quantize_matrix(w, x, cfg, workers=0)
+
+
+def test_fit_error_in_a_worker_is_raised_with_its_type():
+    w, x = synthetic.make_layer(4, n_groups=4, group_cols=2, rows=4, calib_T=8)
+    cfg = pipeline.RunConfig(dim=16, bits=2.0, group_width=2)  # 8 weights a group
+    with pytest.raises(ValueError) as serial:
+        pipeline.quantize_matrix(w, x, cfg)
+    with pytest.raises(ValueError) as forked:
+        pipeline.quantize_matrix(w, x, cfg, workers=2)
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys,
+                                                         monkeypatch):
+    rng = np.random.default_rng(5)
+    argv = ["quantize", write_pair(tmp_path, "w", rng.standard_normal((4, 8))),
+            write_pair(tmp_path, "x", rng.standard_normal((8, 8))),
+            "--out", tmp_path / "a.glvq", "--dim", 16, "--group-width", 2]
+    outcomes = []
+    for serial in (False, True):
+        if serial:  # as on a platform with no affinity call: one worker
+            monkeypatch.delattr(os, "sched_getaffinity")
+        outcomes.append((run(argv), capsys.readouterr().err))
+        assert not multiprocessing.active_children()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == cli.EXIT_USAGE
+    assert "dim=16 is not in [1, 8]" in outcomes[0][1]
+    assert not (tmp_path / "a.glvq").exists()
+
+
+def test_cli_output_same_on_one_cpu(tmp_path):
+    # `taskset -c 0 glvq quantize ...`: one CPU, so the fits run serially
+    w, x = synthetic.make_layer(6, n_groups=4, group_cols=32, calib_T=24)
+    argv = [sys.executable, "-m", "glvq.cli", "quantize", write_pair(tmp_path, "w", w),
+            write_pair(tmp_path, "x", x), "--dim", "4", "--bits", "1.5",
+            "--group-width", "32", "--max-iters", "30"]
+    one_cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for name, pin in (("all", None), ("one", lambda: os.sched_setaffinity(0, {one_cpu}))):
+        out, rep = tmp_path / f"{name}.glvq", tmp_path / f"{name}.csv"
+        subprocess.run(argv + ["--out", str(out), "--report", str(rep)], env=CHILD_ENV,
+                       preexec_fn=pin, check=True, capture_output=True, timeout=120)
+        outputs.append((out.read_bytes(), rep.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+_SLOW_FITS = r"""
+import os, time
+from glvq import pipeline, synthetic
+
+def slow_fit(job):
+    os.write(1, b"%d\n" % os.getpid())  # one write: the workers share the pipe
+    time.sleep(120)
+
+pipeline._fit = slow_fit
+w, x = synthetic.make_layer(0, n_groups=2, group_cols=8, rows=8, calib_T=4)
+pipeline.quantize_matrix(w, x, pipeline.RunConfig(dim=4, group_width=8), workers=2)
+"""
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_die_with_their_parent():
+    # a worker left behind would wait for jobs forever
+    parent = subprocess.Popen([sys.executable, "-c", _SLOW_FITS], stdout=subprocess.PIPE,
+                              text=True, env=CHILD_ENV)
+    try:
+        workers = [int(parent.stdout.readline()) for _ in range(2)]
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+        parent.stdout.close()
+    deadline = time.monotonic() + 30
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))
+
+
+def test_worker_blas_gets_one_thread():
+    # a worker's BLAS threads would share its one CPU and spin against it;
+    # run in a child so that this process keeps its BLAS threads
+    code = "from glvq import pipeline; print(len(pipeline._one_blas_thread()))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CHILD_ENV, check=True, timeout=60).stdout
+    with open("/proc/self/maps") as maps:
+        openblas = "openblas" in maps.read()  # numpy's BLAS, if it is OpenBLAS
+    assert int(out) == int(openblas)
 
 
 # --------------------------------------------------------------------- cli
