@@ -74,15 +74,6 @@ def _run_config(args) -> pipeline.RunConfig:
     return cfg
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity set), or 1 where the
-    platform cannot say: one fit worker each."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def cmd_quantize(args) -> int:
     cfg = _run_config(args)
     if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
@@ -90,7 +81,7 @@ def cmd_quantize(args) -> int:
     weights = container.read_tensor_file(args.weights)
     calib = container.read_tensor_file(args.calib)
     start = time.perf_counter()
-    result = pipeline.quantize_matrix(weights, calib, cfg, workers=_cpu_count())
+    result = pipeline.quantize_matrix(weights, calib, cfg, parallel=True)
     archive_data = result.archive_bytes()
     elapsed = time.perf_counter() - start
 

@@ -64,6 +64,8 @@ class GroupCodec:
 
     ``mu == 0.0`` marks a group coded linearly: companding's transforms
     are the identity there.  Companded groups have mu in [10, 255].
+    ``pad``, the zeros that fill the rows x cols group up to whole
+    dim-long latent columns, follows from the shape.
     """
 
     basis: np.ndarray  # d x d generation matrix
@@ -71,9 +73,12 @@ class GroupCodec:
     bits: int
     scale: float
     dim: int
-    pad: int
     rows: int
     cols: int
+
+    @property
+    def pad(self) -> int:
+        return (-self.rows * self.cols) % self.dim
 
     @property
     def columns(self) -> int:
@@ -162,12 +167,11 @@ def reshape_group(weights, dim: int):
     return flat.reshape(-1, dim).T.copy(), int(pad)
 
 
-def unreshape_group(latent, rows: int, cols: int, pad: int) -> np.ndarray:
-    """Exact inverse of reshape_group (drops the zero padding)."""
+def unreshape_group(latent, rows: int, cols: int) -> np.ndarray:
+    """Exact inverse of reshape_group for a rows x cols group: drops the
+    zero padding past its rows * cols weights."""
     flat = np.asarray(latent, dtype=float).T.ravel()
-    if pad:
-        flat = flat[: rows * cols]
-    return flat.reshape((rows, cols), order="F")
+    return flat[:rows * cols].reshape((rows, cols), order="F")
 
 
 def quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
@@ -231,7 +235,7 @@ def _decode(codes, codec: GroupCodec, out=None):
     if out is None:
         out = np.empty((cols, rows)).T
     if rows % dim:
-        src, dst = unreshape_group(y, rows, cols, codec.pad), out
+        src, dst = unreshape_group(y, rows, cols), out
     else:
         # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of
         # column c; both sides are viewed (d, rows/d, cols), so one strided
@@ -354,8 +358,7 @@ def _init_group(w, dim, bits, cfg: FitConfig):
             mu = companding.MU_MIN
     amax = float(max(w.max(), -w.min()))
     codec = GroupCodec(basis=2.0 ** (1 - bits) * np.eye(dim), mu=mu, bits=bits,
-                       scale=amax or 1.0, dim=dim, pad=(-rows * cols) % dim,
-                       rows=rows, cols=cols)
+                       scale=amax or 1.0, dim=dim, rows=rows, cols=cols)
     lat = _latent_of(w, codec)
     if amax == 0.0:
         return codec, lat

@@ -210,12 +210,13 @@ def write_archive(records) -> bytes:
 
 
 def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
-                    pad: int) -> None:
-    """Reject sizes below 1, bits above MAX_BITS, and a pad other than the
-    zero count that tiles rows*cols into dim-long columns."""
+                    pad: int | None = None) -> None:
+    """Reject sizes below 1, bits above MAX_BITS, and a stored ``pad``,
+    when given, other than the zero count that tiles rows*cols into
+    dim-long columns (a GroupCodec derives its own)."""
     if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= MAX_BITS:
         raise ArchiveError(f"record {idx} has invalid geometry")
-    if pad != (-rows * cols) % dim:
+    if pad is not None and pad != (-rows * cols) % dim:
         raise ArchiveError(
             f"record {idx} geometry does not tile into dim={dim} with pad={pad}")
 
@@ -239,7 +240,7 @@ def _check_record(idx: int, codec: GroupCodec, codes) -> None:
     be a normal binary16 number: below that range it loses relative
     precision and below 2^-24 it rounds to 0, so the group would decode
     to zeros; above 65504 it overflows."""
-    _check_geometry(idx, codec.rows, codec.cols, codec.dim, codec.bits, codec.pad)
+    _check_geometry(idx, codec.rows, codec.cols, codec.dim, codec.bits)
     shapes = (np.shape(codec.basis), np.shape(codes))
     if shapes != ((codec.dim, codec.dim), (codec.dim, codec.columns)):
         raise ArchiveError(f"group {idx}: basis and codes have shapes {shapes}, "
@@ -290,8 +291,8 @@ def read_archive(data: bytes) -> GlvqArchive:
         payload = bytes(data[off:off + payload_len])
         off += payload_len
         codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
-                           scale=float(scale), dim=int(dim), pad=int(pad),
-                           rows=int(rows), cols=int(cols))
+                           scale=float(scale), dim=int(dim), rows=int(rows),
+                           cols=int(cols))
         groups.append(ArchiveGroup(codec=codec, payload=payload))
     if off != len(data):
         raise ArchiveError(f"{len(data) - off} trailing bytes after last record")

@@ -108,12 +108,16 @@ def _fit_in_worker(i):
     return _fit(_worker_jobs[i])
 
 
-def _fit_all(jobs, workers):
-    """_fit over the jobs, in order: in this process, or over ``workers``
-    fork workers, one per CPU of this process's affinity set (cycled if
-    there are more workers than CPUs).  A fit's exception is re-raised
-    here with its type; the workers are joined before this returns."""
-    if workers == 1:
+def _fit_all(jobs, parallel):
+    """_fit over the jobs, in order.  With ``parallel``, over fork workers,
+    one per CPU of this process's affinity set and at most one per job;
+    in this process otherwise, or when that set has one CPU or the
+    platform has no affinity call.  A fit's exception is re-raised here
+    with its type; the workers are joined before this returns."""
+    cpus = []
+    if parallel and hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))[:len(jobs)]
+    if len(cpus) < 2:
         return [_fit(job) for job in jobs]
     # imported here: a CLI run that fits nothing, such as dequantize, would
     # pay for them in start-up time and resident memory
@@ -121,13 +125,12 @@ def _fit_all(jobs, workers):
     from concurrent.futures import ProcessPoolExecutor
 
     ctx = multiprocessing.get_context("fork")
-    cpus = ctx.SimpleQueue()
-    allowed = sorted(os.sched_getaffinity(0))
-    for k in range(workers):
-        cpus.put(allowed[k % len(allowed)])
+    queue = ctx.SimpleQueue()
+    for cpu in cpus:
+        queue.put(cpu)
     try:
-        with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_worker,
-                                 initargs=(jobs, cpus, os.getpid())) as pool:
+        with ProcessPoolExecutor(len(cpus), mp_context=ctx, initializer=_start_worker,
+                                 initargs=(jobs, queue, os.getpid())) as pool:
             futures = [pool.submit(_fit_in_worker, i) for i in range(len(jobs))]
             try:
                 return [f.result() for f in futures]
@@ -135,22 +138,20 @@ def _fit_all(jobs, workers):
                 for f in futures:
                     f.cancel()
     finally:
-        cpus.close()
+        queue.close()
 
 
-def quantize_matrix(weights, calib, config: RunConfig, workers: int = 1) -> QuantizeResult:
+def quantize_matrix(weights, calib, config: RunConfig, parallel: bool = False) -> QuantizeResult:
     """Run the two-stage pipeline: allocate bit-widths, then fit groups.
     Bad settings raise ValueError, bad inputs codebook.DataError.
 
-    ``workers`` > 1 fits the groups in that many processes forked from
-    this one (at most one per group; Linux only), each pinned to one CPU
-    of this process's affinity set and given one BLAS thread; the result
-    is the same for any count.  The
-    default fits in this process: only a caller that holds no threads
-    may fork, and ``glvq quantize`` passes one worker per CPU."""
+    ``parallel`` fits the groups in processes forked from this one (Linux
+    only): one per CPU of this process's affinity set, capped at the
+    group count, each pinned to its CPU and given one BLAS thread.  The
+    result is the same either way.  The default fits in this process:
+    only a caller that holds no threads may fork, and ``glvq quantize``
+    passes True."""
     config.validate()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     w, x = codebook.check_inputs(weights, calib)
 
     spans = partition_columns(w.shape[1], config.group_width)
@@ -165,7 +166,7 @@ def quantize_matrix(weights, calib, config: RunConfig, workers: int = 1) -> Quan
         raise ValueError("fractional bit targets need bit allocation over >= 2 groups")
 
     jobs = [(g, x[a:b, :], int(bg), config) for (a, b), g, bg in zip(spans, groups, bits)]
-    fits = _fit_all(jobs, min(workers, n_groups))
+    fits = _fit_all(jobs, parallel)
     return QuantizeResult(records=[(codec, codes) for codec, codes, _ in fits],
                           spans=spans, bits=bits, reports=[r for _, _, r in fits])
 

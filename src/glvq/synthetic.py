@@ -54,7 +54,7 @@ def make_group(seed: int, *, source: str = "student_t", rows: int = SUITE_ROWS,
     rng = np.random.default_rng(seed)
     mix = np.eye(dim) + SUITE_MIXING * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     latent = mix @ sample_source(rng, source, (dim, rows * cols // dim))
-    w = unreshape_group(latent, rows, cols, 0)
+    w = unreshape_group(latent, rows, cols)
     x = rng.standard_normal((cols, calib_T))
     return w, x
 

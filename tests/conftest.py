@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import tracemalloc
 
 import pytest
@@ -14,6 +15,15 @@ def no_leftover_processes():
         child.terminate()
         child.join(timeout=10)
     assert not left, f"test left processes running: {left}"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Have this process, and the workers it forks, see CPUs {0, 1} and
+    pin to them as a no-op, so that a parallel quantize_matrix forks a
+    real two-worker pool on a machine of any CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
 
 
 @pytest.fixture

@@ -123,9 +123,8 @@ def _gradcheck_instance(rng, with_companding, lam, h=1e-5):
     basis = np.eye(d) + 0.15 * rng.standard_normal((d, d))
     mu = float(rng.uniform(20, 200)) if with_companding else 0.0
     scale = float(np.abs(w).max()) if with_companding else 1.0
-    pad = reshape_group(w, d)[1]
     codec = GroupCodec(basis=basis, mu=mu, bits=3, scale=scale, dim=d,
-                       pad=pad, rows=rows, cols=cols)
+                       rows=rows, cols=cols)
     basis_init = basis + 0.05 * rng.standard_normal((d, d))
     lat, _ = reshape_group(w, d)
     lat = lat / scale
@@ -141,18 +140,18 @@ def _gradcheck_instance(rng, with_companding, lam, h=1e-5):
             bp[i, j] += h
             bm[i, j] -= h
             cp = GroupCodec(basis=bp, mu=mu, bits=3, scale=scale, dim=d,
-                            pad=pad, rows=rows, cols=cols)
+                            rows=rows, cols=cols)
             cm = GroupCodec(basis=bm, mu=mu, bits=3, scale=scale, dim=d,
-                            pad=pad, rows=rows, cols=cols)
+                            rows=rows, cols=cols)
             fd[i, j] = (group_loss(w, cp, codes, x, basis_init, lam)
                         - group_loss(w, cm, codes, x, basis_init, lam)) / (2 * h)
     rel = np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12)
     if mu > 0:
         gm = grad_mu(w, x, codec, codes, basis_init, lam)
         cp = GroupCodec(basis=basis, mu=mu + h, bits=3, scale=scale, dim=d,
-                        pad=pad, rows=rows, cols=cols)
+                        rows=rows, cols=cols)
         cm = GroupCodec(basis=basis, mu=mu - h, bits=3, scale=scale, dim=d,
-                        pad=pad, rows=rows, cols=cols)
+                        rows=rows, cols=cols)
         fd_m = (group_loss(w, cp, codes, x, basis_init, lam)
                 - group_loss(w, cm, codes, x, basis_init, lam)) / (2 * h)
         rel = max(rel, abs(gm - fd_m) / max(abs(fd_m), 1e-12))
@@ -313,7 +312,7 @@ def test_criterion_9_codec_bit_exactness(tmp_path):
     for bits in (1, 2, 5, 8):
         basis = np.float16(np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
         codec = GroupCodec(basis=basis.astype(float), mu=50.0, bits=bits,
-                           scale=2.0, dim=3, pad=0, rows=3, cols=7)
+                           scale=2.0, dim=3, rows=3, cols=7)
         lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         records.append((codec, rng.integers(lo, hi + 1, size=(3, 7))))
     blob = container.write_archive(records)
@@ -322,7 +321,7 @@ def test_criterion_9_codec_bit_exactness(tmp_path):
     # end-to-end: representable weights -> archive -> cmd_dequantize
     basis = np.float16(0.25 * np.eye(4)
                        + 0.0625 * rng.integers(-2, 3, (4, 4))).astype(float)
-    codec = GroupCodec(basis=basis, mu=64.0, bits=3, scale=0.5, dim=4, pad=0,
+    codec = GroupCodec(basis=basis, mu=64.0, bits=3, scale=0.5, dim=4,
                        rows=8, cols=4)
     codes = rng.integers(-4, 4, size=(4, 8))
     w = reconstruct(codes, codec)

@@ -22,8 +22,7 @@ def _valid_archive() -> bytes:
     records = []
     for mu, bits, rows, cols in ((100.0, 2, 3, 5), (0.0, 3, 3, 4)):
         codec = GroupCodec(basis=0.3 * np.eye(2) + 0.05 * rng.standard_normal((2, 2)),
-                           mu=mu, bits=bits, scale=1.5, dim=2,
-                           pad=(rows * cols) % 2, rows=rows, cols=cols)
+                           mu=mu, bits=bits, scale=1.5, dim=2, rows=rows, cols=cols)
         lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         records.append((codec, rng.integers(lo, hi + 1, size=(2, codec.columns))))
     return write_archive(records)

@@ -9,10 +9,10 @@ from glvq.codebook import (FitConfig, GroupCodec, _hessian_loss, code_range,
                            spectral_normalize, unreshape_group)
 
 
-def make_codec(basis, mu, bits, scale, rows, cols, pad=0):
+def make_codec(basis, mu, bits, scale, rows, cols):
     basis = np.asarray(basis, float)
     return GroupCodec(basis=basis, mu=mu, bits=bits, scale=scale,
-                      dim=basis.shape[0], pad=pad, rows=rows, cols=cols)
+                      dim=basis.shape[0], rows=rows, cols=cols)
 
 
 # ---------------------------------------------------------------- reshape
@@ -41,7 +41,7 @@ def test_reshape_round_trip_random_shapes():
         lat, pad = reshape_group(w, dim)
         assert 0 <= pad < dim
         assert dim * lat.shape[1] == rows * cols + pad
-        assert np.array_equal(unreshape_group(lat, rows, cols, pad), w)
+        assert np.array_equal(unreshape_group(lat, rows, cols), w)
 
 
 def _reshape_reference(weights, dim):
@@ -148,12 +148,11 @@ def test_reconstruct_is_the_column_major_closed_form(rows):
     # without a destination the decode places into a new column-major
     # array, the layout (and bytes) the fit's products have always seen
     rng = np.random.default_rng(4)
-    pad = (-rows * 6) % 4
     codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
-                       50.0, 3, 2.5, rows, 6, pad)
-    z = rng.integers(-4, 4, size=(4, (rows * 6 + pad) // 4))
+                       50.0, 3, 2.5, rows, 6)
+    z = rng.integers(-4, 4, size=(4, codec.columns))
     closed = unreshape_group(
-        codec.scale * companding.expand(codec.basis @ z, codec.mu), rows, 6, pad)
+        codec.scale * companding.expand(codec.basis @ z, codec.mu), rows, 6)
     w = reconstruct(z, codec)
     assert w.flags.f_contiguous and w.dtype == np.float64
     assert w.tobytes(order="A") == closed.tobytes(order="A")
@@ -255,8 +254,7 @@ def _fd_check(rng, with_companding, lam, h=1e-5):
     basis = np.eye(d) + 0.15 * rng.standard_normal((d, d))
     mu = float(rng.uniform(20, 200)) if with_companding else 0.0
     scale = float(np.abs(w).max()) if with_companding else 1.0
-    codec = make_codec(basis, mu, 3, scale, rows, cols,
-                       pad=reshape_group(w, d)[1])
+    codec = make_codec(basis, mu, 3, scale, rows, cols)
     basis_init = basis + 0.05 * rng.standard_normal((d, d))
     z = quantize_columns(_latent(w, codec), codec)
 
@@ -267,8 +265,8 @@ def _fd_check(rng, with_companding, lam, h=1e-5):
             bp, bm = basis.copy(), basis.copy()
             bp[i, j] += h
             bm[i, j] -= h
-            cp = make_codec(bp, mu, 3, scale, rows, cols, codec.pad)
-            cm = make_codec(bm, mu, 3, scale, rows, cols, codec.pad)
+            cp = make_codec(bp, mu, 3, scale, rows, cols)
+            cm = make_codec(bm, mu, 3, scale, rows, cols)
             fd_b[i, j] = (group_loss(w, cp, z, x, basis_init, lam)
                           - group_loss(w, cm, z, x, basis_init, lam)) / (2 * h)
     rel_b = np.abs(g_b - fd_b).max() / max(np.abs(fd_b).max(), 1e-12)
@@ -276,8 +274,8 @@ def _fd_check(rng, with_companding, lam, h=1e-5):
 
     if with_companding:
         g_m = grad_mu(w, x, codec, z, basis_init, lam)
-        cp = make_codec(basis, mu + h, 3, scale, rows, cols, codec.pad)
-        cm = make_codec(basis, mu - h, 3, scale, rows, cols, codec.pad)
+        cp = make_codec(basis, mu + h, 3, scale, rows, cols)
+        cm = make_codec(basis, mu - h, 3, scale, rows, cols)
         fd_m = (group_loss(w, cp, z, x, basis_init, lam)
                 - group_loss(w, cm, z, x, basis_init, lam)) / (2 * h)
         assert abs(g_m - fd_m) / max(abs(fd_m), 1e-12) <= 1e-4
@@ -325,10 +323,9 @@ def test_hessian_form_matches_x_form(with_companding, rows, cols, t):
     for _ in range(20):
         w = rng.standard_t(4, size=(rows, cols))
         x = rng.standard_normal((cols, t))
-        pad = reshape_group(w, d)[1]
         mu = float(rng.uniform(10, 255)) if with_companding else 0.0
         codec = make_codec(np.eye(d) + 0.2 * rng.standard_normal((d, d)), mu,
-                           bits, float(np.abs(w).max()), rows, cols, pad)
+                           bits, float(np.abs(w).max()), rows, cols)
         lo, hi = code_range(bits)
         codes = rng.integers(lo, hi + 1, size=(d, codec.columns))
         basis_init = codec.basis + 0.05 * rng.standard_normal((d, d))
@@ -469,7 +466,7 @@ def test_fit_group_beats_rtn_on_heavy_tails():
     rng = np.random.default_rng(15)
     mix = np.eye(8) + 0.5 * rng.standard_normal((8, 8)) / np.sqrt(8)
     lat = mix @ rng.standard_t(4, size=(8, 2048))
-    w = unreshape_group(lat, 256, 64, 0)
+    w = unreshape_group(lat, 256, 64)
     x = rng.standard_normal((64, 128))
     codec, codes, _ = fit_group(w, x, 8, 2, FitConfig())
     glvq_err = (((reconstruct(codes, codec) - w) @ x) ** 2).sum()

@@ -14,9 +14,8 @@ from glvq.container import (ArchiveError, BadMagicError,
 
 def make_codec(rng, dim, bits, rows, cols, mu=100.0):
     basis = np.float16(0.3 * np.eye(dim) + 0.05 * rng.standard_normal((dim, dim)))
-    pad = (-(rows * cols)) % dim
     return GroupCodec(basis=basis.astype(float), mu=mu, bits=bits, scale=1.5,
-                      dim=dim, pad=pad, rows=rows, cols=cols)
+                      dim=dim, rows=rows, cols=cols)
 
 
 def random_codes(rng, bits, dim, columns):
@@ -119,7 +118,7 @@ def test_pack_unpack_use_no_bit_matrix(monkeypatch):
 
 def test_archive_single_zero_group():
     codec = GroupCodec(basis=0.5 * np.eye(2), mu=0.0, bits=2, scale=1.0,
-                       dim=2, pad=0, rows=2, cols=2)
+                       dim=2, rows=2, cols=2)
     codes = np.zeros((2, 2), dtype=np.int64)
     data = write_archive([(codec, codes)])
     arch = read_archive(data)
@@ -175,7 +174,7 @@ def test_archive_fp16_rounding_bounded():
     rng = np.random.default_rng(3)
     basis = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
     codec = GroupCodec(basis=basis, mu=77.7, bits=2, scale=1.234, dim=3,
-                       pad=0, rows=3, cols=4)
+                       rows=3, cols=4)
     codes = random_codes(rng, 2, 3, 4)
     got = read_archive(write_archive([(codec, codes)]))[0].codec
     rel = np.abs(got.basis - basis) / np.maximum(np.abs(basis), 1e-12)
@@ -190,7 +189,7 @@ def test_archive_fp16_rounding_bounded():
 ])
 def test_archive_rejects_side_info_beyond_fp16(scale, basis_entry):
     codec = GroupCodec(basis=basis_entry * np.eye(2), mu=0.0, bits=2,
-                       scale=scale, dim=2, pad=0, rows=2, cols=2)
+                       scale=scale, dim=2, rows=2, cols=2)
     with pytest.raises(ArchiveError):
         write_archive([(codec, np.zeros((2, 2), int))])
 
@@ -198,7 +197,7 @@ def test_archive_rejects_side_info_beyond_fp16(scale, basis_entry):
 def test_archive_accepts_fp16_normal_range_limits():
     for scale in (2.0**-14, 65504.0):
         codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=scale,
-                           dim=2, pad=0, rows=2, cols=2)
+                           dim=2, rows=2, cols=2)
         got = read_archive(write_archive([(codec, np.zeros((2, 2), int))]))
         assert got[0].codec.scale == scale
 
@@ -329,19 +328,29 @@ def test_archive_rejects_undecodable_side_info(fields):
 @pytest.mark.parametrize("mu,basis_entry", [(5.0, 1.0), (0.0, np.nan)])
 def test_archive_write_rejects_undecodable_side_info(mu, basis_entry):
     codec = GroupCodec(basis=np.diag([basis_entry, 1.0]), mu=mu, bits=2,
-                       scale=1.0, dim=2, pad=0, rows=2, cols=2)
+                       scale=1.0, dim=2, rows=2, cols=2)
     with pytest.raises(ArchiveError):
         write_archive([(codec, np.zeros((2, 2), int))])
 
 
-@pytest.mark.parametrize("dim, pad, codes_shape", [
-    (4, 0, (4, 1)),  # dim disagrees with the 2 x 2 basis
-    (2, 2, (2, 3)),  # pad is not (-rows * cols) mod dim
-    (2, 0, (2, 3)),  # codes are not dim x columns
+@pytest.mark.parametrize("fields", [
+    {"pad": 2},  # 2 x 2 weights fill dim-2 columns without padding
+    {"rows": 3, "cols": 1, "pad": 0},  # 3 weights need 1 zero for dim 2
+], ids=["2x2-pad2", "3x1-pad0"])
+def test_archive_read_rejects_pad_off_the_rule(fields):
+    # a codec derives its pad, so only a stored one can break the rule
+    with pytest.raises(ArchiveError, match="does not tile"):
+        read_archive(raw_archive(**fields))
+
+
+@pytest.mark.parametrize("dim, codes_shape", [
+    (4, (4, 1)),  # dim disagrees with the 2 x 2 basis
+    (2, (2, 3)),  # codes are not dim x columns
+    (0, (0, 0)),  # no dim-long columns at all
 ])
-def test_archive_write_rejects_what_read_rejects(dim, pad, codes_shape):
+def test_archive_write_rejects_what_read_rejects(dim, codes_shape):
     codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=dim,
-                       pad=pad, rows=2, cols=2)
+                       rows=2, cols=2)
     with pytest.raises(ArchiveError):
         write_archive([(codec, np.zeros(codes_shape, int))])
 
@@ -359,7 +368,7 @@ def test_archive_decode_rejects_overflowing_expansion(basis_entry):
 def test_archive_decode_scans_large_basis_with_small_codes():
     # the basis bound overflows, but zero codes decode to zeros
     codec = GroupCodec(basis=1000.0 * np.eye(2), mu=100.0, bits=2, scale=1.0,
-                       dim=2, pad=0, rows=2, cols=2)
+                       dim=2, rows=2, cols=2)
     arch = read_archive(write_archive([(codec, np.zeros((2, 2), int))]))
     assert not arch.decode_matrix().any()
 

@@ -136,44 +136,73 @@ def test_evaluate_metrics_shape_checks():
 
 # ------------------------------------------------------------ parallel fits
 
-def test_quantize_matrix_same_for_any_worker_count():
+@pytest.fixture
+def fit_pids(tmp_path, monkeypatch):
+    """Have every group fit record the id of the process it runs in;
+    returns a function that lists the ids recorded so far, in order of
+    record.  One file append per fit, so forked workers record too."""
+    path, fit = tmp_path / "fit_pids", pipeline._fit
+
+    def recording_fit(job):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, b"%d\n" % os.getpid())
+        os.close(fd)
+        return fit(job)
+
+    monkeypatch.setattr(pipeline, "_fit", recording_fit)
+    return lambda: [int(p) for p in path.read_text().split()] if path.exists() else []
+
+
+def test_quantize_matrix_same_serial_and_parallel(two_cpus, fit_pids):
     w, x = synthetic.make_layer(3, n_groups=5, group_cols=32, calib_T=24)
     cfg = pipeline.RunConfig(dim=4, bits=1.5, group_width=32, max_iters=30)
     serial = pipeline.quantize_matrix(w, x, cfg)
-    # 3 workers on a machine of fewer CPUs share them
-    for workers in (2, 3):
-        forked = pipeline.quantize_matrix(w, x, cfg, workers=workers)
-        assert forked.archive_bytes() == serial.archive_bytes()
-        assert forked.bits.tolist() == serial.bits.tolist()
-        assert forked.reports == serial.reports
-        assert forked.spans == serial.spans
-        assert not multiprocessing.active_children()
-    with pytest.raises(ValueError, match="workers"):
-        pipeline.quantize_matrix(w, x, cfg, workers=0)
+    assert fit_pids() == [os.getpid()] * 5
+    forked = pipeline.quantize_matrix(w, x, cfg, parallel=True)
+    in_workers = fit_pids()[5:]
+    assert len(in_workers) == 5 and os.getpid() not in in_workers
+    assert forked.archive_bytes() == serial.archive_bytes()
+    assert forked.bits.tolist() == serial.bits.tolist()
+    assert forked.reports == serial.reports
+    assert forked.spans == serial.spans
+    assert not multiprocessing.active_children()
 
 
-def test_fit_error_in_a_worker_is_raised_with_its_type():
+@pytest.mark.parametrize("cpus", [{0}, None])  # one CPU; no affinity call
+def test_parallel_fits_in_this_process_without_a_second_cpu(cpus, monkeypatch,
+                                                            fit_pids):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    w, x = synthetic.make_layer(3, n_groups=4, group_cols=32, calib_T=24)
+    cfg = pipeline.RunConfig(dim=4, bits=1.5, group_width=32, max_iters=30)
+    pipeline.quantize_matrix(w, x, cfg, parallel=True)
+    assert fit_pids() == [os.getpid()] * 4
+    assert not multiprocessing.active_children()
+
+
+def test_fit_error_in_a_worker_is_raised_with_its_type(two_cpus):
     w, x = synthetic.make_layer(4, n_groups=4, group_cols=2, rows=4, calib_T=8)
     cfg = pipeline.RunConfig(dim=16, bits=2.0, group_width=2)  # 8 weights a group
     with pytest.raises(ValueError) as serial:
         pipeline.quantize_matrix(w, x, cfg)
     with pytest.raises(ValueError) as forked:
-        pipeline.quantize_matrix(w, x, cfg, workers=2)
+        pipeline.quantize_matrix(w, x, cfg, parallel=True)
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
 def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys,
-                                                         monkeypatch):
+                                                         monkeypatch, two_cpus):
     rng = np.random.default_rng(5)
     argv = ["quantize", write_pair(tmp_path, "w", rng.standard_normal((4, 8))),
             write_pair(tmp_path, "x", rng.standard_normal((8, 8))),
             "--out", tmp_path / "a.glvq", "--dim", 16, "--group-width", 2]
     outcomes = []
     for serial in (False, True):
-        if serial:  # as on a platform with no affinity call: one worker
+        if serial:  # as on a platform with no affinity call: fits in-process
             monkeypatch.delattr(os, "sched_getaffinity")
         outcomes.append((run(argv), capsys.readouterr().err))
         assert not multiprocessing.active_children()
@@ -208,8 +237,11 @@ def slow_fit(job):
     time.sleep(120)
 
 pipeline._fit = slow_fit
+# two CPUs to fork a worker for, and pinning a no-op, on any machine
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
 w, x = synthetic.make_layer(0, n_groups=2, group_cols=8, rows=8, calib_T=4)
-pipeline.quantize_matrix(w, x, pipeline.RunConfig(dim=4, group_width=8), workers=2)
+pipeline.quantize_matrix(w, x, pipeline.RunConfig(dim=4, group_width=8), parallel=True)
 """
 
 
@@ -231,6 +263,7 @@ def test_workers_die_with_their_parent():
         parent.kill()
         parent.wait(timeout=60)
         parent.stdout.close()
+    assert parent.pid not in workers  # the fits ran in forked workers
     deadline = time.monotonic() + 30
     while any(map(_alive, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -346,7 +379,7 @@ def test_cli_representable_round_trip(tmp_path):
     basis = np.float16(0.25 * np.eye(4) +
                        0.0625 * rng.integers(-2, 3, size=(4, 4))).astype(float)
     codec = GroupCodec(basis=basis, mu=64.0, bits=3, scale=0.5, dim=4,
-                       pad=0, rows=8, cols=4)
+                       rows=8, cols=4)
     codes = rng.integers(-4, 4, size=(4, 8))
     w = reconstruct(codes, codec)
     lat, _ = reshape_group(w, 4)
@@ -364,7 +397,7 @@ def test_cli_representable_round_trip(tmp_path):
 
 def test_cli_zero_archive(tmp_path):
     codec = GroupCodec(basis=0.5 * np.eye(2), mu=0.0, bits=2, scale=1.0,
-                       dim=2, pad=0, rows=4, cols=2)
+                       dim=2, rows=4, cols=2)
     arch_path = tmp_path / "zero.glvq"
     arch_path.write_bytes(
         container.write_archive([(codec, np.zeros((2, 4), int))]))
@@ -376,7 +409,7 @@ def test_cli_zero_archive(tmp_path):
 def test_cli_truncated_archive_no_partial_output(tmp_path):
     rng = np.random.default_rng(10)
     codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=2,
-                       pad=0, rows=4, cols=2)
+                       rows=4, cols=2)
     data = container.write_archive([(codec, rng.integers(-2, 2, (2, 4)))])
     bad = tmp_path / "bad.glvq"
     bad.write_bytes(data[:-2])
@@ -396,7 +429,7 @@ def test_cli_undecodable_side_info_is_data_error(tmp_path, field, value):
     # overflows the expansion in float64, and 25 (101^25, about 1e50) in
     # the float32 output tensor.
     codec = GroupCodec(basis=0.5 * np.eye(2), mu=100.0, bits=2, scale=1.0,
-                       dim=2, pad=0, rows=4, cols=2)
+                       dim=2, rows=4, cols=2)
     data = bytearray(container.write_archive([(codec, np.ones((2, 4), int))]))
     offset = {"scale": 23, "mu": 25, "basis": 27}[field]
     data[offset:offset + 2] = np.array(value, dtype="<f2").tobytes()
