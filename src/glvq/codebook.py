@@ -21,7 +21,6 @@ from . import companding
 from .lattice import babai_round, check_basis
 
 MAX_BITS = 8  # the widest code, in bits, that an archive record holds
-_MMAP_THRESHOLD = 128 * 1024  # glibc's initial M_MMAP_THRESHOLD, in bytes
 _SLAB = 16384  # latent values reshape_group copies at a time: 128 KiB
 
 # Optimizer constants: the initial (and largest) step sizes of the basis
@@ -212,22 +211,19 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     return companding.compand(lat, codec.mu)
 
 
-def _decode(codes, codec: GroupCodec, out=None):
+def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
     W_hat = scale * expand(G Z) as an m x n matrix, written into ``out``
     (a float m x n array) or, when it is None, into a new column-major
-    float64 one."""
+    float64 one.  Z as float and G Z are the two halves of the first
+    2 * codes.size values of ``scratch``, a flat float64 buffer that
+    decode_matrix passes for all its groups, or, when it is None, two new
+    arrays, which the fit keeps for its gradients."""
     z = np.asarray(codes)
-    # glibc trims its heap only past twice the largest mmap-served block
-    # freed.  Where Z as float and G Z are mmap-served anyway, they share
-    # one allocation, so decode_matrix reuses a freed group's pages for the
-    # next group instead of returning them and faulting them in again;
-    # below that, one block the size of both would cross the threshold
-    # and keep more heap
-    if z.size * 8 > _MMAP_THRESHOLD:
-        zf, v = np.empty((2,) + z.shape)
-    else:
+    if scratch is None:
         zf, v = np.empty(z.shape), np.empty(z.shape)
+    else:
+        zf, v = scratch[:2 * z.size].reshape((2,) + z.shape)
     zf[...] = z
     np.matmul(codec.basis, zf, out=v)
     y = companding.expand(v, codec.mu)  # v itself when mu == 0

@@ -29,7 +29,8 @@ tile rows*cols into dim-long columns, a mu that companding does not
 accept (neither 0 nor in [MU_MIN, MU_MAX]), a scale that is not finite
 and positive, or a non-finite basis entry; writing rejects the same
 records, so whatever it writes parses.  `decode_matrix` rejects an archive
-whose decoded values do not fit float32.  ArchiveError covers each case.
+whose decoded values do not fit float32, naming the group.  ArchiveError
+covers each case.
 
 DataError, a ValueError defined in codebook and re-exported here, marks
 bad input data rather than bad settings.  ArchiveError,
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import MAX_BITS, DataError, GroupCodec, code_range, reconstruct
+from .codebook import MAX_BITS, DataError, GroupCodec, _decode, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -160,38 +161,33 @@ class ArchiveGroup:
         return reconstruct(self.codes, self.codec, out)
 
 
-class GlvqArchive:
-    """Parsed archive: a sequence of ArchiveGroup records."""
-
-    def __init__(self, groups):
-        self.groups = list(groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __getitem__(self, i):
-        return self.groups[i]
+class GlvqArchive(list):
+    """Parsed archive: the list of its ArchiveGroup records."""
 
     def decode_matrix(self) -> np.ndarray:
         """Decode every group into its column span of one row-major float32
-        tensor; ArchiveError if row counts differ or a value overflows it."""
-        rows = {g.codec.rows for g in self.groups}
+        tensor; ArchiveError if row counts differ, or naming the first group
+        with a value that overflows it.  The groups share one float64
+        buffer for Z as float and G Z, sized for the largest, and each span
+        is checked as it is written, so beyond the output the decode holds
+        one group's temporaries."""
+        rows = {g.codec.rows for g in self}
         if len(rows) > 1:
             raise ArchiveError("groups disagree on row count")
-        stops = np.cumsum([0] + [g.codec.cols for g in self.groups])
+        stops = np.cumsum([0] + [g.codec.cols for g in self])
         out = np.empty((max(rows, default=0), stops[-1]), dtype=np.float32)
+        scratch = np.empty(2 * max((g.codec.dim * g.codec.columns for g in self),
+                                   default=0))
         with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
-            for g, a, b in zip(self.groups, stops, stops[1:]):
-                g.decode(out[:, a:b])
-        if not np.isfinite(out).all():
-            raise ArchiveError("archive decodes to values outside the float32 range")
+            for idx, (g, a, b) in enumerate(zip(self, stops, stops[1:])):
+                span = _decode(g.codes, g.codec, out[:, a:b], scratch)[2]
+                if not np.isfinite(span).all():
+                    raise ArchiveError(
+                        f"group {idx} decodes to values outside the float32 range")
         return out
 
     def to_bytes(self) -> bytes:
-        return write_archive((g.codec, g.codes) for g in self.groups)
+        return write_archive((g.codec, g.codes) for g in self)
 
 
 def write_archive(records) -> bytes:
@@ -281,19 +277,17 @@ def read_archive(data: bytes) -> GlvqArchive:
         off += basis_bytes
         (payload_len,) = _PAYLEN.unpack_from(data, off)
         off += _PAYLEN.size
-        columns = (rows * cols + pad) // dim
-        expected = (dim * columns * bits + 7) // 8
+        codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
+                           scale=float(scale), dim=int(dim), rows=int(rows),
+                           cols=int(cols))
+        expected = (dim * codec.columns * bits + 7) // 8
         if payload_len != expected:
             raise ArchiveError(
                 f"record {idx} declares {payload_len} payload bytes, expected {expected}")
         if off + payload_len > len(data):
             raise TruncatedArchiveError(f"record {idx} payload truncated")
-        payload = bytes(data[off:off + payload_len])
+        groups.append(ArchiveGroup(codec=codec, payload=bytes(data[off:off + payload_len])))
         off += payload_len
-        codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
-                           scale=float(scale), dim=int(dim), rows=int(rows),
-                           cols=int(cols))
-        groups.append(ArchiveGroup(codec=codec, payload=payload))
     if off != len(data):
         raise ArchiveError(f"{len(data) - off} trailing bytes after last record")
     return GlvqArchive(groups)

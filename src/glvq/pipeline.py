@@ -131,12 +131,8 @@ def _fit_all(jobs, parallel):
     try:
         with ProcessPoolExecutor(len(cpus), mp_context=ctx, initializer=_start_worker,
                                  initargs=(jobs, queue, os.getpid())) as pool:
-            futures = [pool.submit(_fit_in_worker, i) for i in range(len(jobs))]
-            try:
-                return [f.result() for f in futures]
-            finally:  # on an error, start no fit that has not started
-                for f in futures:
-                    f.cancel()
+            # on an error, map cancels the fits that have not started
+            return list(pool.map(_fit_in_worker, range(len(jobs))))
     finally:
         queue.close()
 

@@ -262,11 +262,26 @@ def test_decode_matrix_peak_memory_stays_near_its_output(traced_peak):
     assert peak <= 2 * 4 * out.size
 
 
+def test_decode_matrix_holds_nothing_layer_sized_beyond_its_output(traced_peak):
+    # 64 narrow groups: the temporaries of one group, a 32 KiB buffer
+    # among them, stay under one byte per output weight, where a bool
+    # mask of the whole tensor alone takes one
+    rng = np.random.default_rng(12)
+    records = []
+    for _ in range(64):
+        codec = make_codec(rng, 8, 2, 256, 8, mu=75.0)
+        records.append((codec, random_codes(rng, 2, 8, codec.columns)))
+    arch = read_archive(write_archive(records))
+    out, peak = traced_peak(arch.decode_matrix)
+    assert peak - out.nbytes < out.size
+
+
 def test_decode_matrix_peak_is_three_group_latents_over_its_output(traced_peak):
     # beyond the float32 output the decode holds one group's int8 codes,
-    # Z as float and G Z (one allocation) and expand's result: 26 bytes a
-    # weight, 3.25 float64 copies of the group; measured 3.38 here, with
-    # numpy's small fixed overhead (the decode before held 7.0)
+    # Z as float and G Z (one buffer that serves every group of the layer)
+    # and expand's result: 26 bytes a weight, 3.25 float64 copies of the
+    # group; measured 3.38 here, with numpy's small fixed overhead (the
+    # decode before held 7.0)
     rng = np.random.default_rng(11)
     records = []
     for _ in range(4):
@@ -362,6 +377,19 @@ def test_archive_decode_rejects_overflowing_expansion(basis_entry):
     # (about 1e84) float32, in which decoded tensors are written
     arch = read_archive(raw_archive(mu=100.0, bits=2, basis_entry=basis_entry))
     with pytest.raises(ArchiveError):
+        arch.decode_matrix()
+
+
+def test_archive_decode_names_the_group_that_overflows():
+    # the second group's codes of -2 overflow float32 as above; the first
+    # group decodes fine
+    fine = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=2,
+                      rows=2, cols=2)
+    wild = GroupCodec(basis=21.0 * np.eye(2), mu=100.0, bits=2, scale=1.0,
+                      dim=2, rows=2, cols=2)
+    codes = np.full((2, 2), -2)
+    arch = read_archive(write_archive([(fine, codes), (wild, codes)]))
+    with pytest.raises(ArchiveError, match="^group 1 decodes"):
         arch.decode_matrix()
 
 

@@ -194,6 +194,29 @@ def test_fit_error_in_a_worker_is_raised_with_its_type(two_cpus):
     assert not multiprocessing.active_children()
 
 
+def test_fit_error_in_a_worker_starts_no_more_fits(two_cpus, fit_pids, monkeypatch):
+    # the first of 12 fits fails at once and every other one takes 0.2 s,
+    # so the error arrives while most fits wait in the pool's queue; those
+    # must never start (fit_pids records each fit that does)
+    w, x = synthetic.make_layer(5, n_groups=12, group_cols=4, rows=8, calib_T=8)
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=4, bit_alloc=False,
+                             max_iters=5)
+    recorded_fit = pipeline._fit
+
+    def first_fails(job):
+        result = recorded_fit(job)
+        if np.array_equal(job[0], w[:, :4]):
+            raise ValueError("the first group's fit failed")
+        time.sleep(0.2)
+        return result
+
+    monkeypatch.setattr(pipeline, "_fit", first_fails)
+    with pytest.raises(ValueError, match="the first group's fit failed"):
+        pipeline.quantize_matrix(w, x, cfg, parallel=True)
+    assert not multiprocessing.active_children()
+    assert 1 <= len(fit_pids()) < 12
+
+
 def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys,
                                                          monkeypatch, two_cpus):
     rng = np.random.default_rng(5)
