@@ -22,6 +22,7 @@ from .lattice import babai_round, check_basis
 
 MAX_BITS = 8  # the widest code, in bits, that an archive record holds
 _SLAB = 16384  # latent values reshape_group copies at a time: 128 KiB
+_STRIDE = 128  # _percentile99 picks its threshold from every 128th value
 
 # Optimizer constants: the initial (and largest) step sizes of the basis
 # and curvature line searches, the weight of the basis anchor penalty,
@@ -215,10 +216,12 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
     W_hat = scale * expand(G Z) as an m x n matrix, written into ``out``
     (a float m x n array) or, when it is None, into a new column-major
-    float64 one.  Z as float and G Z are the two halves of the first
+    float64 one.  The first two arrays are the two halves of the first
     2 * codes.size values of ``scratch``, a flat float64 buffer that
     decode_matrix passes for all its groups, or, when it is None, two new
-    arrays, which the fit keeps for its gradients."""
+    arrays, which the fit keeps for its gradients.  With ``scratch`` and
+    mu > 0 the first one holds expand(G Z), not Z: Z is dead after the
+    matmul."""
     z = np.asarray(codes)
     if scratch is None:
         zf, v = np.empty(z.shape), np.empty(z.shape)
@@ -226,7 +229,8 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
         zf, v = scratch[:2 * z.size].reshape((2,) + z.shape)
     zf[...] = z
     np.matmul(codec.basis, zf, out=v)
-    y = companding.expand(v, codec.mu)  # v itself when mu == 0
+    # into Z's half, dead after the matmul; v itself when mu == 0
+    y = companding.expand(v, codec.mu, None if scratch is None else zf)
     rows, cols, dim = codec.rows, codec.cols, codec.dim
     if out is None:
         out = np.empty((cols, rows)).T
@@ -331,8 +335,10 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
     basis starts from the Cholesky factor of the latent covariance (or
     the identity with ``fixed_basis``), scaled so the 99th percentile of
     the coordinate magnitudes sits at 2^(b-1) - 0.5, then spectrally
-    normalized.  Without a kurtosis (zero variance, under 4 weights) mu
-    starts at MU_MIN; an all-zero group keeps the basis 2^(1-b) I and
+    normalized.  The percentile is np.percentile's, bit for bit, but only
+    the top ~2% of the magnitudes are partitioned for it, after one
+    comparison pass over all of them (_percentile99).  Without a kurtosis
+    (zero variance, under 4 weights) mu starts at MU_MIN; an all-zero group keeps the basis 2^(1-b) I and
     scale 1.  Bad weights raise DataError.
     """
     return _init_group(_check_array(weights, "weights"), dim, bits,
@@ -367,11 +373,55 @@ def _init_group(w, dim, bits, cfg: FitConfig):
         chol = np.linalg.cholesky(cov)
         mags = np.linalg.inv(chol) @ lat
         np.abs(mags, out=mags)
-    q = float(np.percentile(mags, 99.0, overwrite_input=True))
+    q = _percentile99(mags.ravel())
     alpha = q / (2 ** (bits - 1) - 0.5)
     if not np.isfinite(alpha) or alpha <= 0.0:
         alpha = 1.0
     return replace(codec, basis=spectral_normalize(alpha * chol)), lat
+
+
+def _percentile99(x) -> float:
+    """np.percentile(x, 99.0) of a flat float array with no NaN, which it
+    reorders; bit for bit unless x holds -0.0, when the zero it returns
+    may have the other sign.
+
+    With h = 0.99 (n - 1) the percentile interpolates between the values
+    of ranks floor(h) and floor(h) + 1, so only the top need = n - floor(h)
+    values matter.  The threshold t is the j-th largest of the strided
+    sample x[::_STRIDE], j being twice the sample's share of ``need``,
+    plus 2; when fewer than ``need`` values are at or above t, t falls to
+    -inf.  Only the values at or above t are partitioned.
+    """
+    n = x.size
+    h = (n - 1) * 0.99
+    lo = int(h)
+    hi = min(lo + 1, n - 1)
+    need = n - lo
+    sample = x[::_STRIDE]
+    m = sample.size
+    j = min(m, -(-2 * need * m // n) + 2)
+    t = np.partition(sample, m - j)[m - j]
+    if sum(np.count_nonzero(x[a:a + _SLAB] >= t) for a in range(0, n, _SLAB)) < need:
+        t = -np.inf
+    top = _at_or_above(x, t)
+    r = lo - (n - top.size)  # the rank of x's lo-th value among top
+    top.partition((r, r + hi - lo))
+    a, b = top[r], top[r + hi - lo]
+    # numpy's linear interpolation; for n == 1 it weighs the one value by 1
+    g = h - lo if hi > lo else 1.0
+    return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+
+
+def _at_or_above(x, t):
+    """Move the values of flat ``x`` at or above ``t`` to its front, a
+    slab at a time; returns that front, a view."""
+    n = 0
+    for a in range(0, x.size, _SLAB):
+        slab = x[a:a + _SLAB]
+        kept = slab[slab >= t]
+        x[n:n + kept.size] = kept
+        n += kept.size
+    return x[:n]
 
 
 @dataclass

@@ -37,10 +37,10 @@ def _check_finite(x, name: str) -> np.ndarray:
     return a
 
 
-def _closed_form(a, inner, outer, transcendental):
-    """sgn(a) * transcendental(inner |a|) / outer in one fresh array (also
-    for a scalar), rounded step by step as that expression is."""
-    out = np.abs(a, out=np.empty_like(a))
+def _closed_form(a, inner, outer, transcendental, out=None):
+    """sgn(a) * transcendental(inner |a|) / outer in ``out`` or one fresh
+    array (also for a scalar), rounded step by step as that expression is."""
+    out = np.abs(a, out=np.empty_like(a) if out is None else out)
     out *= inner
     transcendental(out, out=out)
     # x sgn(a) without a sign array: out > 0 wherever a != 0, so copysign is
@@ -60,13 +60,15 @@ def compand(x, mu):
     return _closed_form(a, mu, np.log1p(mu), np.log1p)
 
 
-def expand(y, mu):
-    """Invert the mu-law transform: expand(compand(x)) == x."""
+def expand(y, mu, out=None):
+    """Invert the mu-law transform: expand(compand(x)) == x.  Given ``out``,
+    a float64 array of y's shape other than y, it writes the result there,
+    except that mu == 0 returns y."""
     mu = _check_mu(mu)
     a = _check_finite(y, "expand input")
     if mu == 0.0:
         return a if a.ndim else float(a)
-    return _closed_form(a, np.log1p(mu), mu, np.expm1)
+    return _closed_form(a, np.log1p(mu), mu, np.expm1, out)
 
 
 def expand_grad(y, mu):
@@ -94,7 +96,10 @@ def kurtosis(sample) -> float:
     s = _check_finite(sample, "kurtosis sample").ravel()
     if s.size < 4:
         raise DegenerateSampleError(f"kurtosis needs at least 4 samples, got {s.size}")
-    c = s - s.mean()
+    # centre in place a copy that the cast or the ravel made, never the
+    # caller's array
+    c = s.copy() if np.may_share_memory(s, sample) else s
+    c -= c.mean()
     c *= c  # squared deviations, in place
     m2 = float(np.mean(c))
     if m2 <= 0.0:

@@ -187,7 +187,17 @@ class GlvqArchive(list):
         return out
 
     def to_bytes(self) -> bytes:
-        return write_archive((g.codec, g.codes) for g in self)
+        """The archive bytes, read_archive(b).to_bytes() == b: each record
+        checked as write_archive checks it, with its payload as stored."""
+        out = bytearray(_HEADER.pack(MAGIC, VERSION, len(self)))
+        for idx, g in enumerate(self):
+            _check_record(idx, g.codec, (g.codec.dim, g.codec.columns))
+            need = _payload_len(g.codec)
+            if len(g.payload) != need:
+                raise TruncatedPayloadError(
+                    f"group {idx}: payload is {len(g.payload)} bytes, expected {need}")
+            out += _record_bytes(g.codec, g.payload)
+        return bytes(out)
 
 
 def write_archive(records) -> bytes:
@@ -195,14 +205,23 @@ def write_archive(records) -> bytes:
     records = list(records)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, len(records)))
     for idx, (codec, codes) in enumerate(records):
-        _check_record(idx, codec, codes)
-        payload = pack_codes(codes, codec.bits)
-        out += _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits,
-                            codec.pad, float(codec.scale), float(codec.mu))
-        out += np.ascontiguousarray(codec.basis, dtype="<f2").tobytes()
-        out += _PAYLEN.pack(len(payload))
-        out += payload
+        _check_record(idx, codec, np.shape(codes))
+        out += _record_bytes(codec, pack_codes(codes, codec.bits))
     return bytes(out)
+
+
+def _payload_len(codec: GroupCodec) -> int:
+    """Bytes of a record's packed codes: dim * columns codes of bits each."""
+    return (codec.dim * codec.columns * codec.bits + 7) // 8
+
+
+def _record_bytes(codec: GroupCodec, payload: bytes) -> bytes:
+    """One record: side info, payload length and the packed payload."""
+    return b"".join((
+        _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits, codec.pad,
+                     float(codec.scale), float(codec.mu)),
+        np.ascontiguousarray(codec.basis, dtype="<f2").tobytes(),
+        _PAYLEN.pack(len(payload)), payload))
 
 
 def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
@@ -230,14 +249,14 @@ def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
         raise ArchiveError(f"group {idx}: basis has non-finite entries")
 
 
-def _check_record(idx: int, codec: GroupCodec, codes) -> None:
+def _check_record(idx: int, codec: GroupCodec, codes_shape) -> None:
     """Reject a record that read_archive would reject, or whose side info
     binary16 cannot hold faithfully.  The scale (a group's max |w|) must
     be a normal binary16 number: below that range it loses relative
     precision and below 2^-24 it rounds to 0, so the group would decode
     to zeros; above 65504 it overflows."""
     _check_geometry(idx, codec.rows, codec.cols, codec.dim, codec.bits)
-    shapes = (np.shape(codec.basis), np.shape(codes))
+    shapes = (np.shape(codec.basis), tuple(codes_shape))
     if shapes != ((codec.dim, codec.dim), (codec.dim, codec.columns)):
         raise ArchiveError(f"group {idx}: basis and codes have shapes {shapes}, "
                            f"not dim x dim and dim x {codec.columns}")
@@ -280,7 +299,7 @@ def read_archive(data: bytes) -> GlvqArchive:
         codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
                            scale=float(scale), dim=int(dim), rows=int(rows),
                            cols=int(cols))
-        expected = (dim * codec.columns * bits + 7) // 8
+        expected = _payload_len(codec)
         if payload_len != expected:
             raise ArchiveError(
                 f"record {idx} declares {payload_len} payload bytes, expected {expected}")

@@ -644,6 +644,30 @@ def test_init_codec_peak_is_at_most_three_group_copies(traced_peak, config):
     assert peak <= 3 * 8 * g.size + _OVERHEAD
 
 
+def test_init_codec_partitions_only_the_top_magnitudes(monkeypatch):
+    # the 99th percentile of 524,288 magnitudes needs the top 5,244: the
+    # strided sample and the values at or above its threshold are all
+    # that is partitioned (np.percentile partitioned every one)
+    sizes = []
+    partition, at_or_above = np.partition, codebook._at_or_above
+
+    def recording_partition(a, kth, *args, **kwargs):
+        sizes.append(np.size(a))
+        return partition(a, kth, *args, **kwargs)
+
+    def recording_at_or_above(x, t):
+        top = at_or_above(x, t)
+        sizes.append(top.size)
+        return top
+
+    monkeypatch.setattr(np, "partition", recording_partition)
+    monkeypatch.setattr(codebook, "_at_or_above", recording_at_or_above)
+    g = _large_group()
+    for config in (FitConfig(), FitConfig(fixed_basis=True)):
+        init_codec(g, 8, 2, config)
+    assert len(sizes) == 4 and max(sizes) <= 0.05 * g.size
+
+
 def test_quantize_peak_is_at_most_two_group_copies(traced_peak):
     # G^-1 t, rounded in place, and its int64 cast, clipped in place (3
     # when t + 1/2 and its floor were temporaries)

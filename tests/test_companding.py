@@ -116,6 +116,16 @@ def test_derivatives_match_finite_differences():
         assert didmu == pytest.approx(fd_m, rel=1e-4, abs=1e-9)
 
 
+@pytest.mark.parametrize("mu", (0.0, 10.0, 255.0))
+def test_expand_into_out_is_the_fresh_array(mu):
+    ys = np.linspace(-1.0, 1.0, 101).reshape(1, -1)
+    out = np.full_like(ys, 7.0)
+    got = expand(ys, mu, out=out)
+    assert np.array_equal(got, expand(ys, mu))
+    # mu == 0 is the identity: it returns ys and leaves out alone
+    assert got is (ys if mu == 0.0 else out)
+
+
 def test_kurtosis_rademacher():
     s = np.array([1.0, -1.0] * 100)
     assert kurtosis(s) == pytest.approx(-2.0, abs=1e-12)
@@ -139,6 +149,24 @@ def test_kurtosis_matches_pow_form():
         m2 = np.mean(c * c)
         expected = np.mean(c**4) / m2**2
         assert kurtosis(s) + 3 == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("layout", ("contiguous", "column slice", "float32", "list"))
+def test_kurtosis_leaves_its_input_and_matches_the_two_array_form(layout):
+    # the centring is done in place only on a copy made by the cast or
+    # the ravel, never on the caller's array
+    rng = np.random.default_rng(4)
+    wide = rng.standard_t(4, size=(64, 384))
+    sample = {"contiguous": wide, "column slice": wide[:, 128:256],
+              "float32": wide.astype(np.float32), "list": wide[:8].tolist()}[layout]
+    before = np.array(sample)
+    s = np.asarray(sample, dtype=float).ravel()
+    c = s - s.mean()
+    c *= c
+    m2 = float(np.mean(c))
+    c *= c
+    assert kurtosis(sample) == float(np.mean(c)) / m2**2 - 3.0
+    assert np.array_equal(np.asarray(sample), before)
 
 
 def test_kurtosis_degenerate():
