@@ -68,10 +68,8 @@ def _add_run_flags(p, names=None):
 
 
 def _run_config(args) -> pipeline.RunConfig:
-    cfg = pipeline.RunConfig(
+    return pipeline.RunConfig(
         **{name: getattr(args, name) for _, name, _ in _RUN_FLAGS})
-    cfg.validate()
-    return cfg
 
 
 def cmd_quantize(args) -> int:

@@ -85,21 +85,23 @@ class GroupCodec:
         return (self.rows * self.cols + self.pad) // self.dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings for fit_group; the step sizes, the anchor weight
-    and the singular-value range are the module constants above."""
+    """Optimizer settings for fit_group, checked (ValueError) when built or
+    replaced; ``tol = 0`` never stops on tolerance.  The step sizes, the
+    anchor weight and the singular-value range are module constants."""
 
     tol: float = 1e-4
     max_iters: int = 200
     companding: bool = True
     fixed_basis: bool = False
 
-    def validate(self) -> None:
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+    def __post_init__(self):
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and positive, or 0 for no "
+                             f"tolerance stop, got {self.tol}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -338,8 +340,9 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
     normalized.  The percentile is np.percentile's, bit for bit, but only
     the top ~2% of the magnitudes are partitioned for it, after one
     comparison pass over all of them (_percentile99).  Without a kurtosis
-    (zero variance, under 4 weights) mu starts at MU_MIN; an all-zero group keeps the basis 2^(1-b) I and
-    scale 1.  Bad weights raise DataError.
+    (zero variance, under 4 weights) mu starts at MU_MIN; an all-zero
+    group keeps the basis 2^(1-b) I and scale 1.  Bad weights raise
+    DataError.
     """
     return _init_group(_check_array(weights, "weights"), dim, bits,
                        config or FitConfig())[0]

@@ -187,8 +187,9 @@ class GlvqArchive(list):
         return out
 
     def to_bytes(self) -> bytes:
-        """The archive bytes, read_archive(b).to_bytes() == b: each record
-        checked as write_archive checks it, with its payload as stored."""
+        """The archive bytes, each record checked as write_archive checks it and
+        written with its payload as stored: for records write_archive accepts,
+        read_archive(b).to_bytes() == b; any other record raises ArchiveError."""
         out = bytearray(_HEADER.pack(MAGIC, VERSION, len(self)))
         for idx, g in enumerate(self):
             _check_record(idx, g.codec, (g.codec.dim, g.codec.columns))
@@ -224,16 +225,10 @@ def _record_bytes(codec: GroupCodec, payload: bytes) -> bytes:
         _PAYLEN.pack(len(payload)), payload))
 
 
-def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int,
-                    pad: int | None = None) -> None:
-    """Reject sizes below 1, bits above MAX_BITS, and a stored ``pad``,
-    when given, other than the zero count that tiles rows*cols into
-    dim-long columns (a GroupCodec derives its own)."""
+def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int) -> None:
+    """Reject sizes below 1 and bits above MAX_BITS."""
     if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= MAX_BITS:
         raise ArchiveError(f"record {idx} has invalid geometry")
-    if pad is not None and pad != (-rows * cols) % dim:
-        raise ArchiveError(
-            f"record {idx} geometry does not tile into dim={dim} with pad={pad}")
 
 
 def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
@@ -286,7 +281,7 @@ def read_archive(data: bytes) -> GlvqArchive:
             raise TruncatedArchiveError(f"record {idx} header truncated")
         rows, cols, dim, bits, pad, scale, mu = _RECORD.unpack_from(data, off)
         off += _RECORD.size
-        _check_geometry(idx, rows, cols, dim, bits, pad)
+        _check_geometry(idx, rows, cols, dim, bits)
         basis_bytes = 2 * dim * dim
         if off + basis_bytes + _PAYLEN.size > len(data):
             raise TruncatedArchiveError(f"record {idx} side info truncated")
@@ -299,6 +294,9 @@ def read_archive(data: bytes) -> GlvqArchive:
         codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
                            scale=float(scale), dim=int(dim), rows=int(rows),
                            cols=int(cols))
+        if pad != codec.pad:  # the stored pad must be the one the shape fixes
+            raise ArchiveError(
+                f"record {idx} geometry does not tile into dim={dim} with pad={pad}")
         expected = _payload_len(codec)
         if payload_len != expected:
             raise ArchiveError(

@@ -14,18 +14,19 @@ import numpy as np
 from . import bitalloc, codebook, container
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(codebook.FitConfig):
     """Everything a quantization run needs besides the tensors: the
-    optimizer settings of every group's fit plus the layer-level ones."""
+    optimizer settings of every group's fit plus the layer-level ones,
+    checked as FitConfig's are."""
 
     dim: int = 8
     bits: float = 2.0
     group_width: int = 128
     bit_alloc: bool = True
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not 1.0 <= self.bits <= codebook.MAX_BITS:
@@ -147,7 +148,6 @@ def quantize_matrix(weights, calib, config: RunConfig, parallel: bool = False) -
     result is the same either way.  The default fits in this process:
     only a caller that holds no threads may fork, and ``glvq quantize``
     passes True."""
-    config.validate()
     w, x = codebook.check_inputs(weights, calib)
 
     spans = partition_columns(w.shape[1], config.group_width)
@@ -172,12 +172,13 @@ def metrics(weights, w_hat, calib) -> dict:
     reconstruction ``w_hat`` of ``weights`` under calibration ``calib``."""
     m = weights.shape[0]
     t = calib.shape[1]
-    dw = w_hat - weights
+    # the outputs first, so that the layer-sized dw is not alive beside them
     out_ref = weights @ calib
     out_hat = w_hat @ calib
     dout = out_hat - out_ref
+    dw = w_hat - weights
     return {
-        "weight_mse": float((dw * dw).mean()),
+        "weight_mse": float(np.multiply(dw, dw, out=dw).mean()),
         "output_mse": float((dout * dout).sum() / (m * t)),
         "kl": bitalloc.kl_objective(out_ref, out_hat),
     }

@@ -127,11 +127,10 @@ def _row(preset, seed, arm, score, bits):
 
 
 def _suite_settings(config, seeds: int):
-    """Validated config (default RunConfig()), its dim and integer bits."""
+    """The config (default RunConfig()), its dim and integer bits."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     cfg = config or pipeline.RunConfig()
-    cfg.validate()
     if not is_integer_target(cfg.bits):
         raise ValueError("ablation presets use integer bit-widths")
     return cfg, cfg.dim, round(cfg.bits)

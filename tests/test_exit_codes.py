@@ -175,6 +175,40 @@ def test_library_bad_settings_are_not_data_errors(name):
     assert not isinstance(exc.value, container.DataError)
 
 
+# (config class, fields) that the config rejects when built or replaced
+BAD_CONFIGS = [
+    (codebook.FitConfig, {"tol": float("nan")}),
+    (codebook.FitConfig, {"tol": -1.0}),
+    (codebook.FitConfig, {"tol": float("inf")}),
+    (codebook.FitConfig, {"max_iters": 0}),
+    (pipeline.RunConfig, {"tol": float("nan")}),
+    (pipeline.RunConfig, {"max_iters": -3}),
+    (pipeline.RunConfig, {"dim": 0}),
+    (pipeline.RunConfig, {"bits": 9.0}),
+    (pipeline.RunConfig, {"bits": float("nan")}),
+    (pipeline.RunConfig, {"group_width": 0}),
+]
+
+
+@pytest.mark.parametrize("kind, fields", BAD_CONFIGS,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_bad_config_is_rejected_when_built_or_replaced(kind, fields):
+    for make in (lambda: kind(**fields), lambda: dataclasses.replace(kind(), **fields)):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert not isinstance(exc.value, container.DataError)
+
+
+def test_config_tol_zero_builds_and_configs_are_frozen():
+    # tol = 0 means "never stop on tolerance"
+    assert codebook.FitConfig(tol=0.0).tol == 0.0
+    assert dataclasses.replace(CFG, tol=0.0).tol == 0.0
+    for cfg in (codebook.FitConfig(), CFG):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = float("nan")
+        assert cfg.tol == 1e-4
+
+
 @pytest.mark.parametrize("name", list(BAD_DATA))
 def test_group_fit_bad_data_is_data_error(name):
     w, x = BAD_DATA[name]

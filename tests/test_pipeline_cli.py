@@ -662,6 +662,17 @@ def test_cli_non_finite_run_setting_is_usage_error(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+def test_cli_tol_zero_runs(tmp_path):
+    # tol = 0 is no tolerance stop: each fit stalls or reaches --max-iters
+    rng = np.random.default_rng(16)
+    out = tmp_path / "y.glvq"
+    assert run(["quantize", write_pair(tmp_path, "w", rng.standard_normal((8, 16))),
+                write_pair(tmp_path, "x", rng.standard_normal((16, 4))),
+                "--out", out, "--dim", 4, "--group-width", 8, "--tol", 0,
+                "--max-iters", 5]) == 0
+    assert container.read_archive(out.read_bytes()).decode_matrix().shape == (8, 16)
+
+
 def test_cli_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["quantize"])  # missing required arguments
