@@ -22,7 +22,6 @@ from .lattice import babai_round, check_basis
 
 MAX_BITS = 8  # the widest code, in bits, that an archive record holds
 _SLAB = 16384  # latent values reshape_group copies at a time: 128 KiB
-_STRIDE = 128  # _percentile99 picks its threshold from every 128th value
 
 # Optimizer constants: the initial (and largest) step sizes of the basis
 # and curvature line searches, the weight of the basis anchor penalty,
@@ -100,8 +99,14 @@ class FitConfig:
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be finite and positive, or 0 for no "
                              f"tolerance stop, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters)
+
+
+def _check_count(name: str, value) -> None:
+    """ValueError unless the setting ``value`` is an integer >= 1 (a Python
+    or numpy integer)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 @dataclass
@@ -337,12 +342,11 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
     basis starts from the Cholesky factor of the latent covariance (or
     the identity with ``fixed_basis``), scaled so the 99th percentile of
     the coordinate magnitudes sits at 2^(b-1) - 0.5, then spectrally
-    normalized.  The percentile is np.percentile's, bit for bit, but only
-    the top ~2% of the magnitudes are partitioned for it, after one
-    comparison pass over all of them (_percentile99).  Without a kurtosis
-    (zero variance, under 4 weights) mu starts at MU_MIN; an all-zero
-    group keeps the basis 2^(1-b) I and scale 1.  Bad weights raise
-    DataError.
+    normalized.  The percentile is np.percentile's, bit for bit, taken by
+    one in-place partition of the magnitudes (_percentile99).  Without a
+    kurtosis (zero variance, under 4 weights) mu starts at MU_MIN; an
+    all-zero group keeps the basis 2^(1-b) I and scale 1.  Bad weights
+    raise DataError.
     """
     return _init_group(_check_array(weights, "weights"), dim, bits,
                        config or FitConfig())[0]
@@ -389,42 +393,18 @@ def _percentile99(x) -> float:
     may have the other sign.
 
     With h = 0.99 (n - 1) the percentile interpolates between the values
-    of ranks floor(h) and floor(h) + 1, so only the top need = n - floor(h)
-    values matter.  The threshold t is the j-th largest of the strided
-    sample x[::_STRIDE], j being twice the sample's share of ``need``,
-    plus 2; when fewer than ``need`` values are at or above t, t falls to
-    -inf.  Only the values at or above t are partitioned.
+    of ranks floor(h) and floor(h) + 1: one in-place partition puts the
+    first at x[floor(h)], and the second is the least value after it.
     """
     n = x.size
     h = (n - 1) * 0.99
     lo = int(h)
-    hi = min(lo + 1, n - 1)
-    need = n - lo
-    sample = x[::_STRIDE]
-    m = sample.size
-    j = min(m, -(-2 * need * m // n) + 2)
-    t = np.partition(sample, m - j)[m - j]
-    if sum(np.count_nonzero(x[a:a + _SLAB] >= t) for a in range(0, n, _SLAB)) < need:
-        t = -np.inf
-    top = _at_or_above(x, t)
-    r = lo - (n - top.size)  # the rank of x's lo-th value among top
-    top.partition((r, r + hi - lo))
-    a, b = top[r], top[r + hi - lo]
+    x.partition(lo)
+    a = x[lo]
+    b = x[lo + 1:].min() if n > 1 else a
     # numpy's linear interpolation; for n == 1 it weighs the one value by 1
-    g = h - lo if hi > lo else 1.0
+    g = h - lo if n > 1 else 1.0
     return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
-
-
-def _at_or_above(x, t):
-    """Move the values of flat ``x`` at or above ``t`` to its front, a
-    slab at a time; returns that front, a view."""
-    n = 0
-    for a in range(0, x.size, _SLAB):
-        slab = x[a:a + _SLAB]
-        kept = slab[slab >= t]
-        x[n:n + kept.size] = kept
-        n += kept.size
-    return x[:n]
 
 
 @dataclass

@@ -189,7 +189,9 @@ class GlvqArchive(list):
     def to_bytes(self) -> bytes:
         """The archive bytes, each record checked as write_archive checks it and
         written with its payload as stored: for records write_archive accepts,
-        read_archive(b).to_bytes() == b; any other record raises ArchiveError."""
+        read_archive(b).to_bytes() == b.  Any other record raises ArchiveError,
+        except a payload of the wrong length, which raises
+        TruncatedPayloadError (a DataError, not an ArchiveError)."""
         out = bytearray(_HEADER.pack(MAGIC, VERSION, len(self)))
         for idx, g in enumerate(self):
             _check_record(idx, g.codec, (g.codec.dim, g.codec.columns))

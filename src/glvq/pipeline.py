@@ -27,13 +27,11 @@ class RunConfig(codebook.FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        codebook._check_count("dim", self.dim)
         if not 1.0 <= self.bits <= codebook.MAX_BITS:
             raise ValueError(
                 f"bits must lie in [1, {codebook.MAX_BITS}], got {self.bits}")
-        if self.group_width < 1:
-            raise ValueError(f"group_width must be >= 1, got {self.group_width}")
+        codebook._check_count("group_width", self.group_width)
 
 
 @dataclass

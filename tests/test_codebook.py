@@ -644,28 +644,21 @@ def test_init_codec_peak_is_at_most_three_group_copies(traced_peak, config):
     assert peak <= 3 * 8 * g.size + _OVERHEAD
 
 
-def test_init_codec_partitions_only_the_top_magnitudes(monkeypatch):
-    # the 99th percentile of 524,288 magnitudes needs the top 5,244: the
-    # strided sample and the values at or above its threshold are all
-    # that is partitioned (np.percentile partitioned every one)
-    sizes = []
-    partition, at_or_above = np.partition, codebook._at_or_above
-
-    def recording_partition(a, kth, *args, **kwargs):
-        sizes.append(np.size(a))
-        return partition(a, kth, *args, **kwargs)
-
-    def recording_at_or_above(x, t):
-        top = at_or_above(x, t)
-        sizes.append(top.size)
-        return top
-
-    monkeypatch.setattr(np, "partition", recording_partition)
-    monkeypatch.setattr(codebook, "_at_or_above", recording_at_or_above)
+def test_init_codec_does_not_call_np_percentile(monkeypatch):
+    # the percentile is taken by one in-place partition; np.percentile,
+    # which partitions at both ranks, is never called
     g = _large_group()
-    for config in (FitConfig(), FitConfig(fixed_basis=True)):
-        init_codec(g, 8, 2, config)
-    assert len(sizes) == 4 and max(sizes) <= 0.05 * g.size
+    configs = (FitConfig(), FitConfig(fixed_basis=True))
+    expected = [init_codec(g, 8, 2, config) for config in configs]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("np.percentile called")
+
+    monkeypatch.setattr(np, "percentile", raising)
+    for config, want in zip(configs, expected):
+        got = init_codec(g, 8, 2, config)
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert (got.mu, got.scale) == (want.mu, want.scale)
 
 
 def test_quantize_peak_is_at_most_two_group_copies(traced_peak):

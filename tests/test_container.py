@@ -57,6 +57,12 @@ def test_unpack_length_mismatch():
         unpack_codes(b"\xe4\x00", 2, 2, 2)
 
 
+@pytest.mark.parametrize("bits", [0, 9])
+def test_unpack_rejects_widths_outside_one_to_eight(bits):
+    with pytest.raises(ValueError, match="bits must be in 1..8"):
+        unpack_codes(b"\x00", bits, 1, 1)
+
+
 def test_pack_unpack_round_trip_all_widths():
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -413,6 +419,17 @@ def test_archive_decode_names_the_group_that_overflows():
     codes = np.full((2, 2), -2)
     arch = read_archive(write_archive([(fine, codes), (wild, codes)]))
     with pytest.raises(ArchiveError, match="^group 1 decodes"):
+        arch.decode_matrix()
+
+
+def test_archive_decode_rejects_groups_of_different_row_counts():
+    rng = np.random.default_rng(7)
+    records = []
+    for rows in (4, 6):
+        codec = make_codec(rng, 2, 2, rows, 3)
+        records.append((codec, random_codes(rng, 2, 2, codec.columns)))
+    arch = read_archive(write_archive(records))
+    with pytest.raises(ArchiveError, match="groups disagree on row count"):
         arch.decode_matrix()
 
 

@@ -181,12 +181,15 @@ BAD_CONFIGS = [
     (codebook.FitConfig, {"tol": -1.0}),
     (codebook.FitConfig, {"tol": float("inf")}),
     (codebook.FitConfig, {"max_iters": 0}),
+    (codebook.FitConfig, {"max_iters": 2.5}),
     (pipeline.RunConfig, {"tol": float("nan")}),
     (pipeline.RunConfig, {"max_iters": -3}),
     (pipeline.RunConfig, {"dim": 0}),
+    (pipeline.RunConfig, {"dim": 2.5}),
     (pipeline.RunConfig, {"bits": 9.0}),
     (pipeline.RunConfig, {"bits": float("nan")}),
     (pipeline.RunConfig, {"group_width": 0}),
+    (pipeline.RunConfig, {"group_width": 2.5}),
 ]
 
 
@@ -207,6 +210,14 @@ def test_config_tol_zero_builds_and_configs_are_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.tol = float("nan")
         assert cfg.tol == 1e-4
+
+
+def test_config_counts_take_numpy_integers():
+    # an integer count need not be a Python int; a float one is in BAD_CONFIGS
+    cfg = pipeline.RunConfig(dim=np.int64(4), group_width=np.int64(8),
+                             max_iters=np.int64(5))
+    got = pipeline.quantize_matrix(*_data(), cfg).archive_bytes()
+    assert got == pipeline.quantize_matrix(*_data(), CFG).archive_bytes()
 
 
 @pytest.mark.parametrize("name", list(BAD_DATA))

@@ -123,6 +123,13 @@ def test_babai_identity_and_ties():
         assert codes.dtype == np.int64 and np.array_equal(codes, want)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_babai_rejects_non_finite_targets(bad):
+    for target in ([0.5, bad], np.array([[0.5, 0.5], [0.5, bad]])):
+        with pytest.raises(ValueError, match="target has non-finite entries"):
+            babai_round(np.eye(2), target)
+
+
 def test_babai_skew_example():
     g = np.array([[1.0, 0.9], [0.0, 1.0]])
     codes = babai_round(g, [0.5, 0.5])

@@ -337,6 +337,27 @@ def test_cli_quantize_dequantize_eval(tmp_path, capsys):
     assert "output_mse" in out and "bits_per_weight" in out
 
 
+def test_cli_eval_csv_holds_what_eval_prints(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((16, 64))
+    x = rng.standard_normal((64, 8))
+    wpath, xpath = write_pair(tmp_path, "w", w), write_pair(tmp_path, "x", x)
+    arch = tmp_path / "model.glvq"
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=32, max_iters=10)
+    arch.write_bytes(pipeline.quantize_matrix(w, x, cfg).archive_bytes())
+    written = []
+    for name in ("m1.csv", "m2.csv"):
+        assert run(["eval", wpath, arch, xpath, "--out", tmp_path / name]) == 0
+        written.append((tmp_path / name).read_bytes())
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[:6])
+    assert written[0] == written[1]
+    header, values = list(csv.reader(written[0].decode().splitlines()))
+    assert header == list(printed) == ["weight_mse", "output_mse", "kl",
+                                       "bits_per_weight", "overhead_pct",
+                                       "actual_side_bytes"]
+    assert [f"{float(v):.6g}" for v in values] == list(printed.values())
+
+
 def test_evaluate_scores_the_tensor_dequantize_writes(tmp_path):
     rng = np.random.default_rng(5)
     w = rng.standard_normal((64, 256))
