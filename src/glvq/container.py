@@ -20,17 +20,20 @@ packed LSB-first within each byte; the final partial byte is zero
 padded.  So 8 consecutive codes fill exactly `bits` bytes, and
 pack_codes and unpack_codes work by shifts on those whole bytes, 8 codes
 at a time.  unpack_codes returns int8 codes, which hold every width up
-to MAX_BITS = 8.  Side information is rounded to IEEE binary16 (nearest-even);
-a scale outside binary16's normal range, or a basis entry beyond its
-maximum, is rejected at write time.  Codes round-trip bit exactly.
+to MAX_BITS = 8.  Side information is rounded to IEEE binary16
+(nearest-even) at write time.  Codes round-trip bit exactly.
 
-Reading rejects a record with zero rows or columns, a pad that does not
-tile rows*cols into dim-long columns, a mu that companding does not
-accept (neither 0 nor in [MU_MIN, MU_MAX]), a scale that is not finite
-and positive, or a non-finite basis entry; writing rejects the same
-records, so whatever it writes parses.  `decode_matrix` rejects an archive
-whose decoded values do not fit float32, naming the group.  ArchiveError
-covers each case.
+One rule, _check_record, says which records are valid, and write_archive
+and read_archive both apply it: rows, cols and dim of at least 1, bits in
+1..MAX_BITS, a mu that companding accepts (0 or in [MU_MIN, MU_MAX]), a
+dim x dim basis of finite entries within binary16's range, and a scale
+in binary16's normal range.  Reading also rejects a pad other than the
+one rows, cols and dim fix, a payload of the wrong length, set bits past
+the last code (pack_codes zero-fills them) and trailing bytes.  So every
+archive that read_archive accepts is exactly what write_archive writes
+for its records: read_archive(b).to_bytes() == b.  `decode_matrix`
+rejects an archive whose decoded values do not fit float32, naming the
+group.  ArchiveError covers each case.
 
 DataError, a ValueError defined in codebook and re-exported here, marks
 bad input data rather than bad settings.  ArchiveError,
@@ -39,7 +42,6 @@ TruncatedPayloadError (unpack_codes) and TensorFormatError
 """
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -187,84 +189,56 @@ class GlvqArchive(list):
         return out
 
     def to_bytes(self) -> bytes:
-        """The archive bytes, each record checked as write_archive checks it and
-        written with its payload as stored: for records write_archive accepts,
-        read_archive(b).to_bytes() == b.  Any other record raises ArchiveError,
-        except a payload of the wrong length, which raises
-        TruncatedPayloadError (a DataError, not an ArchiveError)."""
-        out = bytearray(_HEADER.pack(MAGIC, VERSION, len(self)))
-        for idx, g in enumerate(self):
-            _check_record(idx, g.codec, (g.codec.dim, g.codec.columns))
-            need = _payload_len(g.codec)
-            if len(g.payload) != need:
-                raise TruncatedPayloadError(
-                    f"group {idx}: payload is {len(g.payload)} bytes, expected {need}")
-            out += _record_bytes(g.codec, g.payload)
-        return bytes(out)
+        """write_archive of the parsed codes: read_archive(b).to_bytes() == b
+        for every archive read_archive accepts.  A record edited after
+        parsing is checked as write_archive checks it; a payload of the
+        wrong length raises TruncatedPayloadError from unpack_codes."""
+        return write_archive((g.codec, g.codes) for g in self)
 
 
 def write_archive(records) -> bytes:
-    """Serialize (codec, codes) pairs; deterministic for equal inputs."""
+    """Serialize (codec, codes) pairs; deterministic for equal inputs.
+    Each codec must pass _check_record and its codes be dim x columns,
+    or ArchiveError names the record."""
     records = list(records)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, len(records)))
     for idx, (codec, codes) in enumerate(records):
-        _check_record(idx, codec, np.shape(codes))
-        out += _record_bytes(codec, pack_codes(codes, codec.bits))
+        _check_record(idx, codec)
+        if np.shape(codes) != (codec.dim, codec.columns):
+            raise ArchiveError(f"group {idx}: codes have shape {np.shape(codes)}, "
+                               f"not dim x columns {(codec.dim, codec.columns)}")
+        payload = pack_codes(codes, codec.bits)
+        out += _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits, codec.pad,
+                            float(codec.scale), float(codec.mu))
+        out += np.ascontiguousarray(codec.basis, dtype="<f2").tobytes()
+        out += _PAYLEN.pack(len(payload))
+        out += payload
     return bytes(out)
 
 
-def _payload_len(codec: GroupCodec) -> int:
-    """Bytes of a record's packed codes: dim * columns codes of bits each."""
-    return (codec.dim * codec.columns * codec.bits + 7) // 8
-
-
-def _record_bytes(codec: GroupCodec, payload: bytes) -> bytes:
-    """One record: side info, payload length and the packed payload."""
-    return b"".join((
-        _RECORD.pack(codec.rows, codec.cols, codec.dim, codec.bits, codec.pad,
-                     float(codec.scale), float(codec.mu)),
-        np.ascontiguousarray(codec.basis, dtype="<f2").tobytes(),
-        _PAYLEN.pack(len(payload)), payload))
-
-
-def _check_geometry(idx: int, rows: int, cols: int, dim: int, bits: int) -> None:
-    """Reject sizes below 1 and bits above MAX_BITS."""
-    if rows < 1 or cols < 1 or dim < 1 or not 1 <= bits <= MAX_BITS:
+def _check_record(idx: int, codec: GroupCodec) -> None:
+    """The one record rule, which write_archive and read_archive both apply:
+    rows, cols and dim of at least 1, bits in 1..MAX_BITS, a mu that
+    companding accepts, a dim x dim basis of finite entries within fp16's
+    range, and a scale (a group's max |w|) that is a normal fp16 number:
+    below that range it loses relative precision and below 2^-24 it rounds
+    to 0, so the group would decode to zeros; above 65504 it overflows."""
+    if codec.rows < 1 or codec.cols < 1 or codec.dim < 1 or not 1 <= codec.bits <= MAX_BITS:
         raise ArchiveError(f"record {idx} has invalid geometry")
-
-
-def _check_decodable(idx: int, scale: float, mu: float, basis) -> None:
-    """Reject side info that cannot decode: a mu that companding rejects,
-    a scale that is not finite and positive, or a non-finite basis entry."""
     try:
-        companding._check_mu(mu)
+        companding._check_mu(codec.mu)
     except ValueError as e:
         raise ArchiveError(f"group {idx}: {e}") from None
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ArchiveError(f"group {idx}: scale {scale:g} is not finite and positive")
-    if not np.isfinite(basis).all():
-        raise ArchiveError(f"group {idx}: basis has non-finite entries")
-
-
-def _check_record(idx: int, codec: GroupCodec, codes_shape) -> None:
-    """Reject a record that read_archive would reject, or whose side info
-    binary16 cannot hold faithfully.  The scale (a group's max |w|) must
-    be a normal binary16 number: below that range it loses relative
-    precision and below 2^-24 it rounds to 0, so the group would decode
-    to zeros; above 65504 it overflows."""
-    _check_geometry(idx, codec.rows, codec.cols, codec.dim, codec.bits)
-    shapes = (np.shape(codec.basis), tuple(codes_shape))
-    if shapes != ((codec.dim, codec.dim), (codec.dim, codec.columns)):
-        raise ArchiveError(f"group {idx}: basis and codes have shapes {shapes}, "
-                           f"not dim x dim and dim x {codec.columns}")
-    _check_decodable(idx, codec.scale, codec.mu, codec.basis)
+    if np.shape(codec.basis) != (codec.dim, codec.dim):
+        raise ArchiveError(f"group {idx}: basis has shape {np.shape(codec.basis)}, "
+                           f"not dim x dim {(codec.dim, codec.dim)}")
+    if not (np.abs(codec.basis) <= _FP16_MAX).all():
+        raise ArchiveError(f"group {idx}: basis has entries that are non-finite "
+                           f"or beyond the fp16 maximum {_FP16_MAX:g}")
     if not _FP16_MIN_NORMAL <= codec.scale <= _FP16_MAX:
         raise ArchiveError(
             f"group {idx}: scale {codec.scale:g} (max |w| of the group) lies "
             f"outside the fp16 range [{_FP16_MIN_NORMAL:g}, {_FP16_MAX:g}]")
-    if np.abs(codec.basis).max() > _FP16_MAX:
-        raise ArchiveError(
-            f"group {idx}: a basis entry exceeds the fp16 maximum {_FP16_MAX:g}")
 
 
 def read_archive(data: bytes) -> GlvqArchive:
@@ -283,29 +257,31 @@ def read_archive(data: bytes) -> GlvqArchive:
             raise TruncatedArchiveError(f"record {idx} header truncated")
         rows, cols, dim, bits, pad, scale, mu = _RECORD.unpack_from(data, off)
         off += _RECORD.size
-        _check_geometry(idx, rows, cols, dim, bits)
         basis_bytes = 2 * dim * dim
         if off + basis_bytes + _PAYLEN.size > len(data):
             raise TruncatedArchiveError(f"record {idx} side info truncated")
         basis = np.frombuffer(data[off:off + basis_bytes], dtype="<f2")
-        basis = basis.astype(float).reshape(dim, dim)
-        _check_decodable(idx, float(scale), float(mu), basis)
+        codec = GroupCodec(basis=basis.astype(float).reshape(dim, dim), mu=mu,
+                           bits=bits, scale=scale, dim=dim, rows=rows, cols=cols)
+        _check_record(idx, codec)
         off += basis_bytes
         (payload_len,) = _PAYLEN.unpack_from(data, off)
         off += _PAYLEN.size
-        codec = GroupCodec(basis=basis, mu=float(mu), bits=int(bits),
-                           scale=float(scale), dim=int(dim), rows=int(rows),
-                           cols=int(cols))
         if pad != codec.pad:  # the stored pad must be the one the shape fixes
             raise ArchiveError(
                 f"record {idx} geometry does not tile into dim={dim} with pad={pad}")
-        expected = _payload_len(codec)
+        code_bits = dim * codec.columns * bits
+        expected = (code_bits + 7) // 8
         if payload_len != expected:
             raise ArchiveError(
                 f"record {idx} declares {payload_len} payload bytes, expected {expected}")
         if off + payload_len > len(data):
             raise TruncatedArchiveError(f"record {idx} payload truncated")
-        groups.append(ArchiveGroup(codec=codec, payload=bytes(data[off:off + payload_len])))
+        payload = bytes(data[off:off + payload_len])
+        used = code_bits % 8  # code bits of the last byte, 0 if all 8
+        if used and payload[-1] >> used:  # pack_codes zero-fills the rest
+            raise ArchiveError(f"record {idx} sets bits past its last code")
+        groups.append(ArchiveGroup(codec=codec, payload=payload))
         off += payload_len
     if off != len(data):
         raise ArchiveError(f"{len(data) - off} trailing bytes after last record")

@@ -442,6 +442,22 @@ def test_init_group_returns_the_codec_latent(config):
     assert np.array_equal(lat, codebook._latent_of(w, codec))
 
 
+@pytest.mark.parametrize("companding_on", [True, False])
+def test_fit_sparse_group_beats_zero(companding_on):
+    # 40 nonzeros in 8192 weights: the 99th percentile of the coordinate
+    # magnitudes is 0, so init scales the Cholesky basis by 1; the fit
+    # must still keep its singular values in range and beat w_hat = 0
+    rng = np.random.default_rng(1)
+    w = np.zeros((64, 128))
+    w.flat[rng.choice(w.size, 40, replace=False)] = rng.standard_normal(40)
+    x = rng.standard_normal((128, 64))
+    codec, codes, _ = fit_group(w, x, 8, 2, FitConfig(companding=companding_on))
+    s = np.linalg.svd(codec.basis, compute_uv=False)
+    assert codebook.SIGMA_MIN <= s.min() and s.max() <= codebook.SIGMA_MAX
+    err = np.sum(((reconstruct(codes, codec) - w) @ x) ** 2) / np.sum((w @ x) ** 2)
+    assert err < 1.0
+
+
 def test_init_codec_preconditions():
     with pytest.raises(ValueError):
         init_codec(np.ones((1, 2)), 4, 2)  # 2 weights cannot host d=4
@@ -639,7 +655,6 @@ def test_init_codec_peak_is_at_most_three_group_copies(traced_peak, config):
     # whitened coordinates, their magnitudes (5 when |w|, c * c, the
     # magnitudes and the percentile's flattened copy were temporaries)
     g = _large_group()
-    init_codec(g, 8, 2, config)  # numpy's first percentile imports numpy.ma
     _, peak = traced_peak(init_codec, g, 8, 2, config)
     assert peak <= 3 * 8 * g.size + _OVERHEAD
 

@@ -102,8 +102,10 @@ def test_pack_unpack_match_bitwise_oracle(bits):
         back = unpack_codes(expected, bits, dim, cols)
         assert back.dtype == np.int8 and back.shape == (dim, cols)
         assert np.array_equal(back, z)
-        # an int8 matrix (what unpack returns) packs to the same bytes
+        # an int8 matrix (what unpack returns) and integral float codes
+        # pack to the same bytes
         assert pack_codes(back, bits) == expected
+        assert pack_codes(z.astype(float), bits) == expected
 
 
 def test_pack_unpack_use_no_bit_matrix(monkeypatch):
@@ -331,27 +333,29 @@ def raw_archive(rows=2, cols=2, dim=2, bits=2, pad=0, scale=1.0, mu=0.0,
 
 def test_archive_reads_valid_raw_record():
     for mu in (0.0, 10.0, 255.0):
-        codec = read_archive(raw_archive(mu=mu, scale=2.0**-20))[0].codec
-        assert (codec.mu, codec.scale) == (mu, 2.0**-20)
-
-
-def test_archive_to_bytes_writes_each_payload_as_read(monkeypatch):
-    # 3 codes of 3 bits leave 7 unused bits in the last payload byte; one
-    # set there survives, since to_bytes does not unpack and re-pack
-    data = raw_archive(rows=3, cols=1, dim=1, bits=3)[:-1] + b"\x80"
-
-    def no_unpack(*args):
-        raise AssertionError("to_bytes unpacked codes")
-
-    monkeypatch.setattr("glvq.container.unpack_codes", no_unpack)
-    assert read_archive(data).to_bytes() == data
-
-
-def test_archive_to_bytes_rejects_what_write_archive_rejects():
-    # a scale below fp16's normal range decodes, so it parses, but
-    # write_archive rejects it, and so does to_bytes
+        codec = read_archive(raw_archive(mu=mu))[0].codec
+        assert (codec.mu, codec.scale) == (mu, 1.0)
+    # an fp16-subnormal scale would decode, but write_archive never writes
+    # it, so read_archive rejects it too
     with pytest.raises(ArchiveError, match="fp16 range"):
-        read_archive(raw_archive(scale=2.0**-20)).to_bytes()
+        read_archive(raw_archive(scale=2.0**-20))
+
+
+def test_archive_read_rejects_bits_set_past_the_last_code():
+    # 3 codes of 3 bits leave 7 unused bits in the last payload byte;
+    # pack_codes zero-fills them, so one set there is not what it writes
+    with pytest.raises(ArchiveError, match="past its last code"):
+        read_archive(raw_archive(rows=3, cols=1, dim=1, bits=3)[:-1] + b"\x80")
+
+
+def test_archive_to_bytes_rejects_a_record_edited_after_parsing():
+    # to_bytes is write_archive of the parsed codes, so it checks an
+    # edited record as write_archive does; a payload cut short fails to
+    # unpack
+    arch = read_archive(raw_archive())
+    arch[0].codec.scale = 2.0**-20
+    with pytest.raises(ArchiveError, match="fp16 range"):
+        arch.to_bytes()
     arch = read_archive(raw_archive(bits=3))
     arch[0].payload = arch[0].payload[:-1]
     with pytest.raises(TruncatedPayloadError):
@@ -487,6 +491,13 @@ def test_tensor_file_round_trip(tmp_path):
     back = read_tensor_file(path)
     assert back.shape == (5, 7)
     assert np.array_equal(back.astype(np.float32), a)
+
+
+def test_tensor_file_write_rejects_other_than_2d(tmp_path):
+    path = tmp_path / "w.f32"
+    with pytest.raises(ValueError, match="2-D"):
+        write_tensor_file(str(path), np.ones(3, dtype=np.float32))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tensor_file_manifest_mismatch(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glvq import cli, codebook, container, pipeline, synthetic
+from glvq import bitalloc, cli, codebook, container, pipeline, synthetic
 
 QUANT = ["--dim", 4, "--group-width", 8, "--max-iters", 5]
 CFG = pipeline.RunConfig(dim=4, group_width=8, max_iters=5)
@@ -238,6 +238,32 @@ def test_group_fit_bad_settings_are_not_data_errors(dim, bits):
         with pytest.raises(ValueError) as exc:
             call()
         assert not isinstance(exc.value, container.DataError)
+
+
+# name -> (call, message) of a library argument rejected as a setting
+BAD_ARGUMENTS = {
+    "salience-probe-bits-0": (
+        lambda: bitalloc.compute_salience([W], X, probe_bits=0), "probe_bits"),
+    "balanced-k-negative": (
+        lambda: bitalloc.balanced_bits(np.arange(4), 2, -1), "k=-1 out of range"),
+    "balanced-k-past-half": (
+        lambda: bitalloc.balanced_bits(np.arange(4), 2, 3), "k=3 out of range"),
+    "reshape-dim-0": (lambda: codebook.reshape_group(W, 0), "dim must be >= 1"),
+    "unknown-source": (
+        lambda: synthetic.sample_source(np.random.default_rng(0), "cauchy", 4),
+        "unknown source"),
+    "group-not-whole-columns": (
+        lambda: synthetic.make_group(0, rows=3, cols=3, dim=2), "multiple of dim"),
+    "unknown-preset": (lambda: synthetic.run_ablation("nope"), "unknown preset"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGUMENTS))
+def test_library_bad_arguments_are_not_data_errors(name):
+    call, message = BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert not isinstance(exc.value, container.DataError)
 
 
 @pytest.mark.parametrize("bad", ["weights", "calib"])

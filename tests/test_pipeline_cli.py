@@ -694,10 +694,17 @@ def test_cli_tol_zero_runs(tmp_path):
     assert container.read_archive(out.read_bytes()).decode_matrix().shape == (8, 16)
 
 
-def test_cli_usage_error_from_argparse():
-    with pytest.raises(SystemExit) as exc:
-        run(["quantize"])  # missing required arguments
-    assert exc.value.code == 2
+def test_cli_usage_error_from_argparse(capsys):
+    # a subcommand missing its arguments, then lines that reach the full
+    # parser tree: none, an unknown subcommand, and top-level help
+    names = ("quantize", "dequantize", "eval", "overhead", "ablate")
+    for argv, code in ((["quantize"], 2), ([], 2), (["bogus"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        if argv != ["quantize"]:
+            assert all(name in out + err for name in names)
 
 
 def _exit_and_output(capsys, parse, argv):
