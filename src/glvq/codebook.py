@@ -2,11 +2,13 @@
 
 A weight group is reshaped into d-dimensional column blocks, optionally
 companded, and encoded as integer lattice codes via Babai rounding under
-a learned d x d generation matrix.  The alternating optimizer refreshes
-the codes, then takes monotone (step-halved) gradient steps on the basis
-and the companding curvature, with spectral normalization keeping the
-basis singular values in a stable range.  RTN and greedy coordinate
-descent live here as baselines.
+a learned d x d generation matrix.  A group may be float32, a slice of
+a layer as read_tensor_file returns it: each function converts it to
+float64 itself.  Codes are int8, 1 byte per weight.  The alternating
+optimizer refreshes the codes, then takes monotone (step-halved)
+gradient steps on the basis and the companding curvature, with spectral
+normalization keeping the basis singular values in a stable range.  RTN
+and greedy coordinate descent live here as baselines.
 
 Bad group data (not 2-D, empty, mismatched or non-finite) raises
 DataError, a ValueError, from check_inputs; bad settings, such as dim or
@@ -182,10 +184,13 @@ def unreshape_group(latent, rows: int, cols: int) -> np.ndarray:
 
 
 def quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
-    """Babai-round every latent column, then clamp into the code range."""
+    """Babai-round every latent column, then clamp into the code range.
+    Returns int8 codes, 1 byte per weight, which hold every width up to
+    MAX_BITS, as unpack_codes does on the decode side."""
     z = babai_round(codec.basis, latent)
     lo, hi = code_range(codec.bits)
-    return np.clip(z, lo, hi, out=z)
+    np.clip(z, lo, hi, out=z)
+    return z.astype(np.int8)
 
 
 def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
@@ -194,7 +199,8 @@ def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
     Starting from all-zero codes, one round-robin sweep over the
     coordinates sets each to the in-range integer that minimizes the
     column residual with the other coordinates fixed.  Deterministic;
-    per-column residuals never increase across updates.
+    per-column residuals never increase across updates.  Returns int8
+    codes, as quantize_columns does.
     """
     b = check_basis(codec.basis)
     lat = np.asarray(latent, dtype=float)
@@ -209,7 +215,7 @@ def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
         zi = np.clip(np.floor(t + 0.5), lo, hi)
         resid = partial - np.outer(b[:, i], zi)
         z[i] = zi
-    return z.astype(np.int64)
+    return z.astype(np.int8)
 
 
 def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
@@ -448,7 +454,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     consecutive accepts it is doubled back toward its default.  Stops
     when the relative loss change of an iteration falls below ``tol``,
     when no step is accepted, or after ``max_iters`` iterations.  Returns
-    (codec, codes, FitReport).  Bad data raises DataError (check_inputs).
+    (codec, int8 codes, FitReport).  Bad data raises DataError (check_inputs).
 
     The objective is evaluated through H = X X^T, built once, so a
     proposal's cost does not depend on the calibration length; gradients

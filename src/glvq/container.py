@@ -2,7 +2,9 @@
 
 Tensor files are raw little-endian float32 payloads (row-major) with a
 JSON sidecar manifest: {"shape": [rows, cols], "dtype": "f32",
-"layout": "row-major"}.
+"layout": "row-major"}.  read_tensor_file returns the float32 array as
+stored, so a layer in memory takes 4 bytes per weight until a
+computation converts it to float64.
 
 Archive layout (".glvq", all multi-byte integers little-endian):
 
@@ -19,9 +21,11 @@ Codes are stored column-major as unsigned offsets u = z + 2^(bits-1),
 packed LSB-first within each byte; the final partial byte is zero
 padded.  So 8 consecutive codes fill exactly `bits` bytes, and
 pack_codes and unpack_codes work by shifts on those whole bytes, 8 codes
-at a time.  unpack_codes returns int8 codes, which hold every width up
-to MAX_BITS = 8.  Side information is rounded to IEEE binary16
-(nearest-even) at write time.  Codes round-trip bit exactly.
+at a time.  Codes are int8 on both sides, which holds every width up to
+MAX_BITS = 8: the encoder (codebook.quantize_columns) returns int8 codes
+and so does unpack_codes; pack_codes takes any integer dtype.  Side
+information is rounded to IEEE binary16 (nearest-even) at write time.
+Codes round-trip bit exactly.
 
 One rule, _check_record, says which records are valid, and write_archive
 and read_archive both apply it: rows, cols and dim of at least 1, bits in
@@ -341,7 +345,10 @@ def write_tensor_file(path, array) -> None:
 
 
 def read_tensor_file(path) -> np.ndarray:
-    """Read a tensor file; raises TensorFormatError (naming the file) or OSError."""
+    """Read a tensor file as the float32 array it stores: a new writable,
+    C-contiguous rows x cols array, read straight from the file, that
+    callers convert to float64 where a computation needs it.  Raises
+    TensorFormatError (naming the file) or OSError."""
     manifest_path = _manifest_path(path)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -355,10 +362,11 @@ def read_tensor_file(path) -> np.ndarray:
     if (not isinstance(shape, list) or len(shape) != 2
             or not all(type(v) is int and 0 <= v <= _MAX_AXIS for v in shape)):
         raise TensorFormatError(f"{manifest_path}: bad shape {shape!r}")
-    with open(path, "rb") as fh:
-        payload = fh.read()
     rows, cols = shape
-    if len(payload) != rows * cols * 4:
-        raise TensorFormatError(f"{path}: payload is {len(payload)} bytes, "
-                                f"manifest implies {rows * cols * 4}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(float)
+    with open(path, "rb") as fh:
+        # the length is checked first, so a bad manifest allocates nothing
+        size = os.fstat(fh.fileno()).st_size
+        if size != rows * cols * 4:
+            raise TensorFormatError(
+                f"{path}: payload is {size} bytes, manifest implies {rows * cols * 4}")
+        return np.fromfile(fh, dtype="<f4", count=rows * cols).reshape(rows, cols)

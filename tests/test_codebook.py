@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glvq import codebook, companding, synthetic
+from glvq import codebook, companding, container, synthetic
 from glvq.codebook import (FitConfig, GroupCodec, _hessian_loss, code_range,
                            fit_group, gcd_quantize_columns, grad_basis, grad_mu,
                            group_loss, init_codec, quantize_columns,
@@ -96,7 +96,15 @@ def test_quantize_leaves_the_latent_unchanged():
     before = latent.copy()
     z = quantize_columns(latent, codec)
     assert np.array_equal(latent, before)
-    assert z.dtype == np.int64 and z.min() >= -2 and z.max() <= 1
+    assert z.dtype == np.int8 and z.min() >= -2 and z.max() <= 1
+
+
+def test_fit_group_gives_int8_codes():
+    rng = np.random.default_rng(24)
+    w = rng.standard_normal((16, 8)).astype(np.float32)
+    x = rng.standard_normal((8, 12)).astype(np.float32)
+    codec, codes, _ = fit_group(w, x, 4, 3, FitConfig(max_iters=5))
+    assert codes.dtype == np.int8 and codes.shape == (4, codec.columns)
 
 
 def test_quantize_zero_latent():
@@ -615,6 +623,7 @@ def test_gcd_worse_than_babai_on_skew_bases():
 
 
 def test_code_range_invariant_everywhere():
+    # int8 codes, 1 byte per weight, as unpack_codes gives on the decode side
     rng = np.random.default_rng(20)
     for bits in (1, 2, 5, 8):
         lo, hi = code_range(bits)
@@ -623,7 +632,7 @@ def test_code_range_invariant_everywhere():
         latent = 20.0 * rng.standard_normal((3, 30))
         for z in (quantize_columns(latent, codec),
                   gcd_quantize_columns(latent, codec)):
-            assert z.min() >= lo and z.max() <= hi
+            assert z.dtype == np.int8 and z.min() >= lo and z.max() <= hi
 
 
 # ------------------------------------------------------------ peak memory
@@ -677,10 +686,33 @@ def test_init_codec_does_not_call_np_percentile(monkeypatch):
 
 
 def test_quantize_peak_is_at_most_two_group_copies(traced_peak):
-    # G^-1 t, rounded in place, and its int64 cast, clipped in place (3
-    # when t + 1/2 and its floor were temporaries)
+    # babai_round's G^-1 t, rounded in place, and its int64 cast; then
+    # those codes, clipped in place, and their int8 cast (3 when t + 1/2
+    # and its floor were temporaries)
     g = _large_group()
     codec = init_codec(g, 8, 2)
     latent = codebook._latent_of(g, codec)
     _, peak = traced_peak(quantize_columns, latent, codec)
     assert peak <= 2 * 8 * g.size + _OVERHEAD
+
+
+def test_optimizer_free_encode_holds_one_byte_of_codes_per_weight(traced_peak):
+    # decode_large's build on a 512 x 1024 float32 layer: init_codec and
+    # quantize_columns per 128-column group, then write_archive of all the
+    # records.  The peak is 1 byte of codes per weight (8 as int64, over
+    # this bound) plus at most four float64 group copies, since each
+    # group's temporaries die with it; measured 0.76 of the bound.
+    rng = np.random.default_rng(25)
+    layer = rng.standard_t(4, size=(512, 1024)).astype(np.float32)
+
+    def encode():
+        records = []
+        for a in range(0, layer.shape[1], 128):
+            group = layer[:, a:a + 128]
+            codec = init_codec(group, 8, 2)
+            records.append((codec, quantize_columns(codebook._latent_of(group, codec),
+                                                    codec)))
+        return container.write_archive(records)
+
+    _, peak = traced_peak(encode)
+    assert peak <= layer.size + 4 * 8 * 512 * 128 + _OVERHEAD

@@ -12,6 +12,10 @@ from glvq.container import (ArchiveError, BadMagicError,
                             write_tensor_file, TensorFormatError)
 
 
+# numpy's and the file object's fixed cost beyond the arrays
+_OVERHEAD = 1 << 16
+
+
 def make_codec(rng, dim, bits, rows, cols, mu=100.0):
     basis = np.float16(0.3 * np.eye(dim) + 0.05 * rng.standard_normal((dim, dim)))
     return GroupCodec(basis=basis.astype(float), mu=mu, bits=bits, scale=1.5,
@@ -163,6 +167,20 @@ def test_archive_round_trips_bytes_at_every_width():
         records.append((codec, codes))
     data = write_archive(records)
     assert read_archive(data).to_bytes() == data
+
+
+def test_archive_of_int8_codes_is_that_of_their_int64_cast():
+    # the encoder's int8 codes and the same codes as int64 pack alike, at
+    # every width and at both ends of its range
+    rng = np.random.default_rng(13)
+    records = []
+    for bits in range(1, 9):
+        codec = make_codec(rng, 4, bits, 9, 7)
+        codes = random_codes(rng, bits, 4, codec.columns).astype(np.int8)
+        codes.flat[0], codes.flat[-1] = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        records.append((codec, codes))
+    wide = [(codec, codes.astype(np.int64)) for codec, codes in records]
+    assert write_archive(records) == write_archive(wide)
 
 
 def test_archive_codes_bit_exact_and_sideinfo_fp16():
@@ -482,15 +500,19 @@ def test_overhead_validates_arguments():
 
 # ------------------------------------------------------------- tensor file
 
-def test_tensor_file_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((5, 7)).astype(np.float32)
+def test_tensor_file_round_trip(tmp_path, traced_peak):
+    # a new writable, C-contiguous float32 array, bit for bit what was
+    # written, read straight into: the peak is the payload (3 times it
+    # when the file's bytes and a float64 copy were alive together)
+    a = np.random.default_rng(6).standard_normal((300, 200)).astype(np.float32)
     path = str(tmp_path / "w.f32")
     write_tensor_file(path, a)
     assert (tmp_path / "w.json").exists()
-    back = read_tensor_file(path)
-    assert back.shape == (5, 7)
-    assert np.array_equal(back.astype(np.float32), a)
+    back, peak = traced_peak(read_tensor_file, path)
+    assert back.dtype == np.float32 and back.shape == a.shape
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert back.tobytes() == a.tobytes()
+    assert peak <= a.nbytes + _OVERHEAD
 
 
 def test_tensor_file_write_rejects_other_than_2d(tmp_path):

@@ -47,6 +47,19 @@ def test_quantize_matrix_balanced_allocation():
     assert w_hat.shape == w.shape
 
 
+def test_quantize_matrix_of_float32_inputs_is_that_of_float64_ones():
+    # float32 -> float64 is exact, so a layer as read_tensor_file returns
+    # it and the same values held as float64 give the same archive; the
+    # records hold int8 codes either way
+    w32, x32 = (a.astype(np.float32) for a in synthetic.make_layer(
+        3, n_groups=3, group_cols=16, calib_T=24))
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=16, max_iters=15)
+    r32 = pipeline.quantize_matrix(w32, x32, cfg)
+    r64 = pipeline.quantize_matrix(w32.astype(np.float64), x32.astype(np.float64), cfg)
+    assert all(codes.dtype == np.int8 for _, codes in r32.records + r64.records)
+    assert r32.archive_bytes() == r64.archive_bytes()
+
+
 def test_encode_path_needs_no_lu_solve(monkeypatch):
     # Babai rounding and init whitening use explicit d x d inverses; an
     # LU solve with thousands of right-hand sides must not come back
