@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import codebook, container, pipeline, synthetic
+from . import container, pipeline, synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,9 +77,9 @@ def cmd_quantize(args) -> int:
     if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
         raise ValueError(f"--report and --out name the same file {args.out}")
     # float64 once, here, so the float32 arrays are freed before the fit
-    # and the evaluation, which would otherwise each convert them again
-    weights, calib = codebook.check_inputs(container.read_tensor_file(args.weights),
-                                           container.read_tensor_file(args.calib))
+    # and the evaluation, which each check them but need not convert them
+    weights = container.read_tensor_file(args.weights).astype(float)
+    calib = container.read_tensor_file(args.calib).astype(float)
     start = time.perf_counter()
     result = pipeline.quantize_matrix(weights, calib, cfg, parallel=True)
     archive_data = result.archive_bytes()
@@ -126,8 +126,8 @@ def cmd_dequantize(args) -> int:
 
 def cmd_eval(args) -> int:
     archive = container.read_archive(Path(args.archive).read_bytes())
-    original, calib = codebook.check_inputs(container.read_tensor_file(args.original),
-                                            container.read_tensor_file(args.calib))
+    original = container.read_tensor_file(args.original).astype(float)
+    calib = container.read_tensor_file(args.calib).astype(float)  # evaluate checks both
     metrics = pipeline.evaluate(original, archive, calib)
     for key in ("weight_mse", "output_mse", "kl", "bits_per_weight",
                 "overhead_pct", "actual_side_bytes"):

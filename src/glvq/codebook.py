@@ -11,8 +11,10 @@ normalization keeping the basis singular values in a stable range.  RTN
 and greedy coordinate descent live here as baselines.
 
 Bad group data (not 2-D, empty, mismatched or non-finite) raises
-DataError, a ValueError, from check_inputs; bad settings, such as dim or
-bits below 1 or a dim beyond the group size, raise a plain ValueError.
+DataError, a ValueError, from check_inputs; bad settings, such as a dim
+outside [1, group size] or bits that code_range (the one width rule,
+which every encoder, packer and record check reads) rejects, raise a
+plain ValueError.
 """
 
 from dataclasses import dataclass, field, replace
@@ -138,10 +140,12 @@ class FitReport:
 
 
 def code_range(bits: int):
-    """Inclusive integer code range [-2^(b-1), 2^(b-1) - 1]."""
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    """Code range (lo, hi) = (-2^(b-1), 2^(b-1) - 1) of the b-bit midtread
+    grid; ValueError unless ``bits`` is a (numpy) integer in 1..MAX_BITS."""
+    if not isinstance(bits, (int, np.integer)) or not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
+    # int(): in a numpy unsigned width, -lo would wrap
+    return -(2 ** (int(bits) - 1)), 2 ** (int(bits) - 1) - 1
 
 
 def reshape_group(weights, dim: int):
@@ -263,11 +267,9 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     return zf, v, out
 
 
-def reconstruct(codes, codec: GroupCodec, out=None) -> np.ndarray:
-    """Decode codes to an m x n weight matrix: scale * expand(G Z), as a
-    new float64 array or written into ``out`` (a float m x n array) and
-    returned."""
-    return _decode(codes, codec, out)[2]
+def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
+    """Decode codes to a new float64 m x n weight matrix: scale * expand(G Z)."""
+    return _decode(codes, codec)[2]
 
 
 def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = LAM) -> float:
@@ -347,12 +349,12 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
     curvature comes from the sample kurtosis; without it mu is 0.  The
     basis starts from the Cholesky factor of the latent covariance (or
     the identity with ``fixed_basis``), scaled so the 99th percentile of
-    the coordinate magnitudes sits at 2^(b-1) - 0.5, then spectrally
-    normalized.  The percentile is np.percentile's, bit for bit, taken by
-    one in-place partition of the magnitudes (_percentile99).  Without a
-    kurtosis (zero variance, under 4 weights) mu starts at MU_MIN; an
-    all-zero group keeps the basis 2^(1-b) I and scale 1.  Bad weights
-    raise DataError.
+    the coordinate magnitudes (their maximum where it is 0) sits at the
+    code-range edge hi + 1/2, then spectrally normalized.  The percentile
+    is np.percentile's, bit for bit, taken by one in-place partition of
+    the magnitudes (_percentile99).  Without a kurtosis (zero variance,
+    under 4 weights) mu starts at MU_MIN; an all-zero group keeps the
+    basis I / 2^(b-1) and scale 1.  Bad weights raise DataError.
     """
     return _init_group(_check_array(weights, "weights"), dim, bits,
                        config or FitConfig())[0]
@@ -360,7 +362,7 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
 
 def _init_group(w, dim, bits, cfg: FitConfig):
     """init_codec on checked float weights: returns (codec, its latent)."""
-    code_range(bits)  # validates bits
+    lo, hi = code_range(bits)
     rows, cols = w.shape
     if not 1 <= dim <= rows * cols:
         raise ValueError(f"dim={dim} is not in [1, {rows * cols}], the group size")
@@ -372,7 +374,7 @@ def _init_group(w, dim, bits, cfg: FitConfig):
         except companding.DegenerateSampleError:
             mu = companding.MU_MIN
     amax = float(max(w.max(), -w.min()))
-    codec = GroupCodec(basis=2.0 ** (1 - bits) * np.eye(dim), mu=mu, bits=bits,
+    codec = GroupCodec(basis=np.eye(dim) / -lo, mu=mu, bits=bits,
                        scale=amax or 1.0, dim=dim, rows=rows, cols=cols)
     lat = _latent_of(w, codec)
     if amax == 0.0:
@@ -386,11 +388,10 @@ def _init_group(w, dim, bits, cfg: FitConfig):
         chol = np.linalg.cholesky(cov)
         mags = np.linalg.inv(chol) @ lat
         np.abs(mags, out=mags)
-    q = _percentile99(mags.ravel())
-    alpha = q / (2 ** (bits - 1) - 0.5)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        alpha = 1.0
-    return replace(codec, basis=spectral_normalize(alpha * chol)), lat
+    flat = mags.ravel()
+    # over 99% zeros give a percentile of 0; amax > 0 makes the max positive
+    q = _percentile99(flat) or float(flat.max())
+    return replace(codec, basis=spectral_normalize(q / (hi + 0.5) * chol)), lat
 
 
 def _percentile99(x) -> float:
@@ -526,6 +527,6 @@ def rtn_quantize(weights, bits: int) -> np.ndarray:
     amax = float(np.max(np.abs(w))) if w.size else 0.0
     if amax == 0.0:
         return np.zeros_like(w)
-    s = amax if bits == 1 else amax / (2 ** (bits - 1) - 1)
+    s = amax / max(hi, 1)  # hi is 0 at 1 bit: step amax, codes -1 and 0
     q = np.clip(np.floor(w / s + 0.5), lo, hi)
     return s * q

@@ -17,25 +17,26 @@ Archive layout (".glvq", all multi-byte integers little-endian):
     basis dim*dim float16 (row-major),
     payload_len u64, payload bytes
 
-Codes are stored column-major as unsigned offsets u = z + 2^(bits-1),
-packed LSB-first within each byte; the final partial byte is zero
-padded.  So 8 consecutive codes fill exactly `bits` bytes, and
-pack_codes and unpack_codes work by shifts on those whole bytes, 8 codes
-at a time.  Codes are int8 on both sides, which holds every width up to
-MAX_BITS = 8: the encoder (codebook.quantize_columns) returns int8 codes
-and so does unpack_codes; pack_codes takes any integer dtype.  Side
+Codes are stored column-major as unsigned offsets u = z - lo, with
+(lo, hi) = codebook.code_range(bits), the one width rule, packed
+LSB-first within each byte; the final partial byte is zero padded.  So 8
+consecutive codes fill exactly `bits` bytes, and pack_codes and
+unpack_codes work by shifts on those whole bytes, 8 codes at a time.
+Codes are int8 on both sides, which holds every width code_range
+accepts: the encoder (codebook.quantize_columns) returns int8 codes and
+so does unpack_codes; pack_codes takes any integer dtype.  Side
 information is rounded to IEEE binary16 (nearest-even) at write time.
 Codes round-trip bit exactly.
 
 One rule, _check_record, says which records are valid, and write_archive
-and read_archive both apply it: rows, cols and dim of at least 1, bits in
-1..MAX_BITS, a mu that companding accepts (0 or in [MU_MIN, MU_MAX]), a
-dim x dim basis of finite entries within binary16's range, and a scale
-in binary16's normal range.  Reading also rejects a pad other than the
-one rows, cols and dim fix, a payload of the wrong length, set bits past
-the last code (pack_codes zero-fills them) and trailing bytes.  So every
-archive that read_archive accepts is exactly what write_archive writes
-for its records: read_archive(b).to_bytes() == b.  `decode_matrix`
+and read_archive both apply it: rows, cols and dim of at least 1, bits
+that code_range accepts, a mu that companding accepts (0 or in [MU_MIN,
+MU_MAX]), a dim x dim basis of finite entries within binary16's range,
+and a scale in binary16's normal range.  Reading also rejects a pad other
+than the one rows, cols and dim fix, a payload of the wrong length, set
+bits past the last code (pack_codes zero-fills them) and trailing bytes.
+So every archive that read_archive accepts is exactly what write_archive
+writes for its records: read_archive(b).to_bytes() == b.  `decode_matrix`
 rejects an archive whose decoded values do not fit float32, naming the
 group.  ArchiveError covers each case.
 
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import MAX_BITS, DataError, GroupCodec, _decode, code_range, reconstruct
+from .codebook import DataError, GroupCodec, _decode, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -93,8 +94,6 @@ class TensorFormatError(DataError):
 def pack_codes(codes, bits: int) -> bytes:
     """Pack an integer code matrix into b-bit offsets, LSB-first."""
     lo, hi = code_range(bits)
-    if bits > MAX_BITS:
-        raise ValueError(f"packing supports bits <= {MAX_BITS}, got {bits}")
     z = np.asarray(codes)
     if z.size and (z.min() < lo or z.max() > hi):
         raise ValueError(f"codes outside [{lo}, {hi}] for bits={bits}")
@@ -103,13 +102,13 @@ def pack_codes(codes, bits: int) -> bytes:
     n = z.size
     if n == 0:
         return b""
-    # offsets u = z + 2^(b-1) in column-major order, then zeros up to a
+    # offsets u = z - lo in column-major order, then zeros up to a
     # whole number of 8-code blocks; the cast wraps mod 256, so adding the
     # offset in uint8 gives u exactly whatever the integer dtype of z
     u = np.zeros((n + 7) // 8 * 8, dtype=np.uint8)
     head = u[:n]
     np.copyto(head.reshape(z.shape[::-1]), z.T, casting="unsafe")
-    head += np.uint8(2 ** (bits - 1))
+    head += np.uint8(-lo)
     u = u.reshape(-1, 8)
     out = np.zeros((u.shape[0], bits), dtype=np.uint8)
     for k in range(8):  # code k of a block starts k * bits bits in
@@ -122,8 +121,7 @@ def pack_codes(codes, bits: int) -> bytes:
 
 def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
     """Exact inverse of pack_codes; returns a dim x columns int8 matrix."""
-    if not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
+    lo, hi = code_range(bits)
     n = dim * columns
     need = (n * bits + 7) // 8
     if len(payload) != need:
@@ -135,15 +133,15 @@ def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarra
         raw = np.concatenate([raw, np.zeros(blocks * bits - raw.size, np.uint8)])
     raw = raw.reshape(blocks, bits)
     u = np.empty((blocks, 8), dtype=np.uint8)
-    mask = np.uint8(2 ** bits - 1)
+    mask = np.uint8(hi - lo)
     for k in range(8):
         byte, shift = divmod(k * bits, 8)
         code = np.right_shift(raw[:, byte], shift, out=u[:, k])
         if shift + bits > 8:
             code |= raw[:, byte + 1] << (8 - shift)
         code &= mask
-    # z = u - 2^(b-1) wraps mod 256 in uint8; read as int8 it is exact
-    u -= np.uint8(2 ** (bits - 1))
+    # z = u + lo wraps mod 256 in uint8; read as int8 it is exact
+    u -= np.uint8(-lo)
     return u.view(np.int8).ravel()[:n].reshape(columns, dim).T
 
 
@@ -160,11 +158,10 @@ class ArchiveGroup:
         return unpack_codes(self.payload, self.codec.bits, self.codec.dim,
                             self.codec.columns)
 
-    def decode(self, out=None) -> np.ndarray:
-        """The group as float64 rows x cols, or written into ``out`` (a
-        float rows x cols array, cast to its dtype); decode_matrix checks
-        the range of what it writes."""
-        return reconstruct(self.codes, self.codec, out)
+    def decode(self) -> np.ndarray:
+        """The group as a new float64 rows x cols array (unchecked range;
+        decode_matrix checks what it writes)."""
+        return reconstruct(self.codes, self.codec)
 
 
 class GlvqArchive(list):
@@ -222,14 +219,15 @@ def write_archive(records) -> bytes:
 
 def _check_record(idx: int, codec: GroupCodec) -> None:
     """The one record rule, which write_archive and read_archive both apply:
-    rows, cols and dim of at least 1, bits in 1..MAX_BITS, a mu that
+    rows, cols and dim of at least 1, bits code_range accepts, a mu that
     companding accepts, a dim x dim basis of finite entries within fp16's
     range, and a scale (a group's max |w|) that is a normal fp16 number:
     below that range it loses relative precision and below 2^-24 it rounds
     to 0, so the group would decode to zeros; above 65504 it overflows."""
-    if codec.rows < 1 or codec.cols < 1 or codec.dim < 1 or not 1 <= codec.bits <= MAX_BITS:
+    if codec.rows < 1 or codec.cols < 1 or codec.dim < 1:
         raise ArchiveError(f"record {idx} has invalid geometry")
     try:
+        code_range(codec.bits)
         companding._check_mu(codec.mu)
     except ValueError as e:
         raise ArchiveError(f"group {idx}: {e}") from None

@@ -450,18 +450,34 @@ def test_init_group_returns_the_codec_latent(config):
     assert np.array_equal(lat, codebook._latent_of(w, codec))
 
 
-@pytest.mark.parametrize("companding_on", [True, False])
-def test_fit_sparse_group_beats_zero(companding_on):
+def _sparse_group():
     # 40 nonzeros in 8192 weights: the 99th percentile of the coordinate
-    # magnitudes is 0, so init scales the Cholesky basis by 1; the fit
-    # must still keep its singular values in range and beat w_hat = 0
+    # magnitudes is 0, so init places their maximum at the code-range edge
     rng = np.random.default_rng(1)
     w = np.zeros((64, 128))
     w.flat[rng.choice(w.size, 40, replace=False)] = rng.standard_normal(40)
-    x = rng.standard_normal((128, 64))
+    return w, rng.standard_normal((128, 64))
+
+
+@pytest.mark.parametrize("companding_on", [True, False])
+def test_fit_sparse_group_beats_zero(companding_on):
+    # the fit must keep the basis singular values in range and beat w_hat = 0
+    w, x = _sparse_group()
     codec, codes, _ = fit_group(w, x, 8, 2, FitConfig(companding=companding_on))
     s = np.linalg.svd(codec.basis, compute_uv=False)
     assert codebook.SIGMA_MIN <= s.min() and s.max() <= codebook.SIGMA_MAX
+    err = np.sum(((reconstruct(codes, codec) - w) @ x) ** 2) / np.sum((w @ x) ** 2)
+    assert err < 1.0
+
+
+@pytest.mark.parametrize("companding_on", [True, False])
+def test_fit_sparse_group_with_fixed_basis_beats_zero(companding_on):
+    # with the basis fixed, init's scale is the fit's only grid: a step-1
+    # identity grid would leave the companded fit at 3.6 times the error of
+    # w_hat = 0, the largest magnitude at the code-range edge at 0.43
+    w, x = _sparse_group()
+    config = FitConfig(companding=companding_on, fixed_basis=True)
+    codec, codes, _ = fit_group(w, x, 8, 2, config)
     err = np.sum(((reconstruct(codes, codec) - w) @ x) ** 2) / np.sum((w @ x) ** 2)
     assert err < 1.0
 
@@ -620,6 +636,34 @@ def test_gcd_worse_than_babai_on_skew_bases():
         total_gcd += np.linalg.norm(latent - basis @ z_g, axis=0).mean()
         total_babai += np.linalg.norm(latent - basis @ z_b, axis=0).mean()
     assert total_gcd >= total_babai
+
+
+@pytest.mark.parametrize("bits", [0, 9, 2.5, -1, None])
+def test_code_range_rejects_widths_outside_one_to_eight(bits):
+    with pytest.raises(ValueError, match="bits must be in 1..8"):
+        code_range(bits)
+
+
+def test_code_range_takes_numpy_integer_widths():
+    assert code_range(np.int64(8)) == (-128, 127)
+    assert code_range(np.uint8(1)) == (-1, 0)
+
+
+def test_encoders_reject_widths_past_eight_bits():
+    # a 9-bit grid would put the latent 1.5 at code 150 under 0.01 I, which
+    # int8 stores as -106: every encoder raises instead of wrapping
+    codec = make_codec(0.01 * np.eye(2), 0.0, 9, 1.0, 2, 1)
+    latent = np.array([[1.5], [0.0]])
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((8, 4))
+    x = rng.standard_normal((4, 6))
+    for encode in (lambda: quantize_columns(latent, codec),
+                   lambda: gcd_quantize_columns(latent, codec),
+                   lambda: fit_group(w, x, 2, 9),
+                   lambda: init_codec(w, 2, 9),
+                   lambda: rtn_quantize(w, 9)):
+        with pytest.raises(ValueError, match="bits must be in 1..8"):
+            encode()
 
 
 def test_code_range_invariant_everywhere():

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from glvq.codebook import GroupCodec, reconstruct
+from glvq.codebook import GroupCodec, _decode, reconstruct
 from glvq.container import (ArchiveError, BadMagicError,
                             TruncatedArchiveError, TruncatedPayloadError,
                             UnsupportedVersionError, overhead_report,
@@ -41,8 +41,9 @@ def test_pack_full_byte_codes():
 def test_pack_rejects_out_of_range():
     with pytest.raises(ValueError):
         pack_codes(np.array([[2]]), 2)
-    with pytest.raises(ValueError):
-        pack_codes(np.array([[0]]), 9)
+    for bits in (0, 9, 2.5):  # widths code_range rejects
+        with pytest.raises(ValueError, match="bits must be in 1..8"):
+            pack_codes(np.array([[0]]), bits)
 
 
 def test_unpack_hand_example():
@@ -61,7 +62,7 @@ def test_unpack_length_mismatch():
         unpack_codes(b"\xe4\x00", 2, 2, 2)
 
 
-@pytest.mark.parametrize("bits", [0, 9])
+@pytest.mark.parametrize("bits", [0, 9, 2.5])
 def test_unpack_rejects_widths_outside_one_to_eight(bits):
     with pytest.raises(ValueError, match="bits must be in 1..8"):
         unpack_codes(b"\x00", bits, 1, 1)
@@ -270,7 +271,8 @@ def test_decode_matrix_places_whole_blocks_as_the_group_decode():
     assert out.tobytes() == expected.tobytes()
     # a group decoded into a span of a larger array writes that span only
     span = np.full((12, 9), 7.0, dtype=np.float32)
-    arch[1].decode(span[:, 3:5])
+    g = arch[1]
+    _decode(g.codes, g.codec, span[:, 3:5])
     assert span[:, 3:5].tobytes() == expected[:, 3:5].tobytes()
     assert (span[:, :3] == 7.0).all() and (span[:, 5:] == 7.0).all()
 
@@ -389,6 +391,18 @@ def test_archive_to_bytes_rejects_a_record_edited_after_parsing():
 def test_archive_rejects_undecodable_side_info(fields):
     with pytest.raises(ArchiveError):
         read_archive(raw_archive(**fields))
+
+
+@pytest.mark.parametrize("bits", [0, 9])
+def test_archive_rejects_widths_outside_one_to_eight(bits):
+    # code_range is the record rule's width test: both directions name the
+    # group, where a 9-bit record would otherwise wrap its int8 codes
+    codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=bits, scale=1.0, dim=2,
+                       rows=2, cols=2)
+    with pytest.raises(ArchiveError, match="^group 0: bits must be in 1..8"):
+        write_archive([(codec, np.zeros((2, 2), int))])
+    with pytest.raises(ArchiveError, match="^group 0: bits must be in 1..8"):
+        read_archive(raw_archive(bits=bits))
 
 
 @pytest.mark.parametrize("mu,basis_entry", [(5.0, 1.0), (0.0, np.nan)])
