@@ -36,40 +36,36 @@ def _write_csv(path, rows, fieldnames):
         sys.stdout.write(data.decode())
 
 
-# (flag, RunConfig field, extra argparse keywords), one row per run
-# setting.  Defaults, types and boolean actions come from RunConfig.
-_RUN_FLAGS = (
-    ("--dim", "dim", {"help": "lattice dimension d"}),
-    ("--bits", "bits",
-     {"help": "target mean bits per weight (may be fractional)"}),
-    ("--group-width", "group_width", {"help": "columns per group"}),
-    ("--no-bit-alloc", "bit_alloc",
-     {"help": "uniform bit-widths instead of salience allocation"}),
-    ("--no-companding", "companding", {"help": "disable the mu-law stage"}),
-    ("--fixed-basis", "fixed_basis",
-     {"help": "keep a scaled identity basis instead of learning one"}),
-    ("--tol", "tol", {}),
-    ("--max-iters", "max_iters", {}),
-)
+# RunConfig field -> help text, one entry per run setting.  Each field's
+# flag is "--" plus its name with dashes; its type and default come from
+# RunConfig(), and a boolean takes both --x and --no-x.
+_RUN_FLAG_HELP = {
+    "dim": "lattice dimension d",
+    "bits": "target mean bits per weight (may be fractional)",
+    "group_width": "columns per group",
+    "bit_alloc": "salience bit allocation (else uniform bit-widths)",
+    "companding": "the mu-law stage (else linear coding)",
+    "fixed_basis": "keep a scaled identity basis instead of learning one",
+    "tol": "relative loss change that stops a group's fit",
+    "max_iters": "most optimizer iterations per group",
+}
 
 
-def _add_run_flags(p, names=None):
-    """Add the _RUN_FLAGS rows whose field is in ``names`` (default: all)."""
+def _add_run_flags(p, names=tuple(_RUN_FLAG_HELP)):
+    """Add the flag of each RunConfig field in ``names``."""
     defaults = pipeline.RunConfig()
-    for flag, name, extra in _RUN_FLAGS:
-        if names is not None and name not in names:
-            continue
+    for name in names:
         default = getattr(defaults, name)
-        if isinstance(default, bool):
-            kind = {"action": "store_false" if default else "store_true"}
-        else:
-            kind = {"type": type(default)}
-        p.add_argument(flag, dest=name, default=default, **kind, **extra)
+        kind = ({"action": argparse.BooleanOptionalAction}
+                if isinstance(default, bool) else {"type": type(default)})
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       help=_RUN_FLAG_HELP[name], **kind)
 
 
 def _run_config(args) -> pipeline.RunConfig:
-    return pipeline.RunConfig(
-        **{name: getattr(args, name) for _, name, _ in _RUN_FLAGS})
+    """The RunConfig of the run flags present on ``args``."""
+    return pipeline.RunConfig(**{name: getattr(args, name)
+                                 for name in _RUN_FLAG_HELP if hasattr(args, name)})
 
 
 def cmd_quantize(args) -> int:
@@ -138,11 +134,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = pipeline.RunConfig(dim=args.dim, bits=args.bits,
-                             max_iters=args.max_iters, tol=args.tol)
     rows, summaries = synthetic.run_ablation(
         args.preset, seeds=args.seeds, source=args.source, base_seed=args.seed,
-        config=cfg)
+        config=_run_config(args))
     fieldnames = sorted({k for r in rows for k in r})
     # stable, readable column order
     lead = [c for c in ("preset", "seed", "arm", "mean_bits") if c in fieldnames]
@@ -207,8 +201,7 @@ def _ablate_args(p):
     p.add_argument("--preset", required=True, choices=synthetic.PRESETS)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--source", choices=synthetic.SOURCES, default="student_t")
-    _add_run_flags(p, ("dim", "max_iters", "tol"))
-    p.add_argument("--bits", type=float, default=2.0)
+    _add_run_flags(p, ("dim", "bits", "max_iters", "tol"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import DataError, GroupCodec, _decode, code_range, reconstruct
+from .codebook import DataError, GroupCodec, _check_count, _decode, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -300,10 +300,11 @@ def side_info_bits(dim: int) -> int:
 
 def overhead_report(dim: int, rows: int, cols: int, bits: int) -> float:
     """Side-information overhead percentage 100 * (16 d^2 + 16) / (m n b):
-    side_info_bits against the packed code bits of one group."""
-    for name, v in (("dim", dim), ("rows", rows), ("cols", cols), ("bits", bits)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
+    side_info_bits against the packed code bits of one group.  ValueError
+    unless dim, rows and cols are counts and bits a width code_range holds."""
+    for name, v in (("dim", dim), ("rows", rows), ("cols", cols)):
+        _check_count(name, v)
+    code_range(bits)
     return 100.0 * side_info_bits(dim) / (rows * cols * bits)
 
 

@@ -18,8 +18,10 @@ from . import bitalloc, codebook, container
 class RunConfig(codebook.FitConfig):
     """Everything a quantization run needs besides the tensors: the
     optimizer settings of every group's fit plus the layer-level ones,
-    checked as FitConfig's are."""
+    checked as FitConfig's are.  Unlike a bare fit, a run codes linearly
+    unless ``companding`` is set."""
 
+    companding: bool = False
     dim: int = 8
     bits: float = 2.0
     group_width: int = 128

@@ -508,8 +508,12 @@ def test_overhead_full_table_two_decimals():
 
 
 def test_overhead_validates_arguments():
-    with pytest.raises(ValueError):
-        overhead_report(0, 1, 1, 1)
+    # counts are integers >= 1 and bits a width code_range holds
+    for args in ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (2.5, 4096, 128, 2),
+                 (16, 4096.0, 128, 2), (16, 4096, 128, 0), (16, 4096, 128, 9),
+                 (16, 4096, 128, 2.0)):
+        with pytest.raises(ValueError):
+            overhead_report(*args)
 
 
 # ------------------------------------------------------------- tensor file

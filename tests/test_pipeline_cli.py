@@ -34,6 +34,18 @@ def run(argv):
 
 # ---------------------------------------------------------------- pipeline
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_run_decodes_no_group_to_zero(seed):
+    # with the mu-law stage, every 1-bit group of this layer codes to all
+    # zeros; a default run codes linearly
+    w, x = synthetic.make_layer(seed)
+    result = pipeline.quantize_matrix(
+        w, x, pipeline.RunConfig(bits=1.5, group_width=64))
+    assert min(result.bits) == 1
+    archive = container.read_archive(result.archive_bytes())
+    assert all(np.any(group.decode()) for group in archive)
+
+
 def test_quantize_matrix_balanced_allocation():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((64, 256))
@@ -608,19 +620,38 @@ def test_cli_weights_beyond_fp16_side_info_are_data_error(tmp_path, magnitude):
     assert not out.exists() and not report.exists()
 
 
+def _quantize_config(*flags):
+    return cli._run_config(cli.build_parser().parse_args(
+        ["quantize", "w.f32", "x.f32", "--out", "a.glvq", *flags]))
+
+
 def test_run_flags_fill_every_run_config_field():
-    parser = cli.build_parser()
-    bare = parser.parse_args(["quantize", "w.f32", "x.f32", "--out", "a.glvq"])
-    assert cli._run_config(bare) == pipeline.RunConfig()
-    args = parser.parse_args([
-        "quantize", "w.f32", "x.f32", "--out", "a.glvq", "--dim", "4",
-        "--bits", "3.5", "--group-width", "64", "--no-bit-alloc",
-        "--no-companding", "--fixed-basis", "--tol", "1e-5", "--max-iters", "7"])
-    assert cli._run_config(args) == pipeline.RunConfig(
-        dim=4, bits=3.5, group_width=64, bit_alloc=False, companding=False,
+    assert _quantize_config() == pipeline.RunConfig()
+    assert _quantize_config(
+        "--dim", "4", "--bits", "3.5", "--group-width", "64", "--no-bit-alloc",
+        "--companding", "--fixed-basis", "--tol", "1e-5", "--max-iters", "7",
+    ) == pipeline.RunConfig(
+        dim=4, bits=3.5, group_width=64, bit_alloc=False, companding=True,
         fixed_basis=True, tol=1e-5, max_iters=7)
-    assert ({f.name for f in dataclasses.fields(pipeline.RunConfig)}
-            == {name for _, name, _ in cli._RUN_FLAGS})
+    # every field parses from "--" plus its name with dashes
+    fields = dataclasses.fields(pipeline.RunConfig)
+    assert {f.name for f in fields} == set(cli._RUN_FLAG_HELP)
+    for f in fields:
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            for value, spelling in ((True, flag), (False, "--no-" + flag[2:])):
+                assert getattr(_quantize_config(spelling), f.name) is value
+        else:
+            assert getattr(_quantize_config(flag, "3"), f.name) == f.type("3")
+    # the spellings that named a default's opposite keep their configs
+    assert _quantize_config("--no-bit-alloc", "--no-companding", "--fixed-basis") \
+        == pipeline.RunConfig(bit_alloc=False, companding=False, fixed_basis=True)
+    # ablate takes its run flags, and builds its config, the same way
+    ablate = cli.build_parser().parse_args([
+        "ablate", "--preset", "lattice", "--dim", "4", "--bits", "3",
+        "--tol", "1e-5", "--max-iters", "7"])
+    assert cli._run_config(ablate) == pipeline.RunConfig(
+        dim=4, bits=3.0, tol=1e-5, max_iters=7)
 
 
 @pytest.mark.parametrize("option", [
@@ -742,10 +773,14 @@ def test_cli_overhead_single_and_edge(capsys):
                 "--bits", 4]) == 0
     out = capsys.readouterr().out
     assert "overhead=0.196%" in out and "0.20" in out
-    assert run(["overhead", "--dim", 1, "--rows", 1, "--cols", 1,
-                "--bits", 32]) == 0
+    # 32 side-info bits against 4 rows of one 8-bit column
+    assert run(["overhead", "--dim", 1, "--rows", 4, "--cols", 1,
+                "--bits", 8]) == 0
     assert "overhead=100.000%" in capsys.readouterr().out
     assert run(["overhead"]) == 2  # nothing to compute
+    # a width no archive record can hold
+    assert run(["overhead", "--dim", 16, "--rows", 4096, "--cols", 128,
+                "--bits", 9]) == 2
 
 
 def test_cli_overhead_paper_table(capsys):
