@@ -2,9 +2,11 @@
 # Fitting one group codec: alternating code refresh and monotone gradient
 # steps on the generation matrix and the companding curvature.
 
+from dataclasses import replace
+
 import numpy as np
 
-from glvq import FitConfig, fit_group, reconstruct, rtn_quantize
+from glvq import RunConfig, fit_group, reconstruct, rtn_quantize
 from glvq.pipeline import metrics
 from glvq.synthetic import make_group
 
@@ -12,7 +14,9 @@ from glvq.synthetic import make_group
 w, x = make_group(seed=3, source="student_t", dim=8)
 print("group shape:", w.shape, " calib shape:", x.shape)
 
-codec, codes, report = fit_group(w, x, dim=8, bits=2, config=FitConfig())
+# Companding is opt-in; with it, the fit learns the curvature mu too.
+cfg = RunConfig(companding=True)
+codec, codes, report = fit_group(w, x, dim=8, bits=2, config=cfg)
 print(f"\nconverged={report.converged} after {report.iterations} iterations")
 print(f"loss: {report.loss_history[0]:.0f} -> {report.final_loss:.0f}")
 print("learned curvature mu:", round(codec.mu, 1))
@@ -31,6 +35,6 @@ print("output-space mse, rtn baseline :",
 
 # Freezing the basis at a scaled identity shows what the learning buys.
 fixed, fixed_codes, _ = fit_group(w, x, dim=8, bits=2,
-                                  config=FitConfig(fixed_basis=True))
+                                  config=replace(cfg, fixed_basis=True))
 print("output-space mse, fixed identity basis:",
       round(metrics(w, reconstruct(fixed_codes, fixed), x)["output_mse"], 2))

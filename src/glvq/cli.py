@@ -41,7 +41,8 @@ def _write_csv(path, rows, fieldnames):
 # RunConfig(), and a boolean takes both --x and --no-x.
 _RUN_FLAG_HELP = {
     "dim": "lattice dimension d",
-    "bits": "target mean bits per weight (may be fractional)",
+    "bits": ("target mean bits per weight; fractional targets need bit "
+             "allocation (glvq quantize only)"),
     "group_width": "columns per group",
     "bit_alloc": "salience bit allocation (else uniform bit-widths)",
     "companding": "the mu-law stage (else linear coding)",

@@ -8,7 +8,9 @@ float64 itself.  Codes are int8, 1 byte per weight.  The alternating
 optimizer refreshes the codes, then takes monotone (step-halved)
 gradient steps on the basis and the companding curvature, with spectral
 normalization keeping the basis singular values in a stable range.  RTN
-and greedy coordinate descent live here as baselines.
+and greedy coordinate descent live here as baselines.  RunConfig holds
+every setting of a run, the fit's among them; a fit without one codes
+linearly, as a run does by default.
 
 Bad group data (not 2-D, empty, mismatched or non-finite) raises
 DataError, a ValueError, from check_inputs; bad settings, such as a dim
@@ -89,21 +91,31 @@ class GroupCodec:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Optimizer settings for fit_group, checked (ValueError) when built or
-    replaced; ``tol = 0`` never stops on tolerance.  The step sizes, the
-    anchor weight and the singular-value range are module constants."""
+class RunConfig:
+    """Every setting of a quantization run, checked (ValueError) when built
+    or replaced.  A group's fit reads the first four; ``tol = 0`` never
+    stops on tolerance.  Coding is linear unless ``companding`` is set.
+    The step sizes, the anchor weight and the singular-value range are
+    module constants."""
 
     tol: float = 1e-4
     max_iters: int = 200
-    companding: bool = True
+    companding: bool = False
     fixed_basis: bool = False
+    dim: int = 8
+    bits: float = 2.0
+    group_width: int = 128
+    bit_alloc: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be finite and positive, or 0 for no "
                              f"tolerance stop, got {self.tol}")
         _check_count("max_iters", self.max_iters)
+        _check_count("dim", self.dim)
+        if not 1.0 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
+        _check_count("group_width", self.group_width)
 
 
 def _check_count(name: str, value) -> None:
@@ -342,8 +354,9 @@ def spectral_normalize(basis) -> np.ndarray:
     return (u * np.clip(s, SIGMA_MIN, SIGMA_MAX)) @ vt
 
 
-def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) -> GroupCodec:
-    """Build the initial codec for a weight group under ``config``.
+def init_codec(weights, dim: int, bits: int, config: RunConfig | None = None) -> GroupCodec:
+    """Build the initial codec for a weight group under ``config``
+    (default RunConfig(): linear coding).
 
     With companding the group is normalized by its max magnitude and the
     curvature comes from the sample kurtosis; without it mu is 0.  The
@@ -357,10 +370,10 @@ def init_codec(weights, dim: int, bits: int, config: FitConfig | None = None) ->
     basis I / 2^(b-1) and scale 1.  Bad weights raise DataError.
     """
     return _init_group(_check_array(weights, "weights"), dim, bits,
-                       config or FitConfig())[0]
+                       config or RunConfig())[0]
 
 
-def _init_group(w, dim, bits, cfg: FitConfig):
+def _init_group(w, dim, bits, cfg: RunConfig):
     """init_codec on checked float weights: returns (codec, its latent)."""
     lo, hi = code_range(bits)
     rows, cols = w.shape
@@ -446,7 +459,7 @@ def _line_search(step, size: _StepSize, loss, propose):
     return None
 
 
-def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = None):
+def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = None):
     """Fit one group's codec by alternating code refresh and gradient steps.
 
     Proposals (gradient step, spectral normalization, mu projection, code
@@ -461,7 +474,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: FitConfig | None = No
     proposal's cost does not depend on the calibration length; gradients
     are computed only for accepted proposals.
     """
-    cfg = config or FitConfig()
+    cfg = config or RunConfig()
     w, x = check_inputs(weights, calib)
     # the latent depends on mu and scale only, so basis steps reuse it
     codec, latent = _init_group(w, dim, bits, cfg)

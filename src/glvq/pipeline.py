@@ -2,7 +2,8 @@
 
 Partitions a weight matrix into column groups, optionally runs
 salience-driven bit allocation, fits every group's codec, and assembles
-archive records plus evaluation metrics.
+archive records plus evaluation metrics.  A run's settings are one
+codebook.RunConfig, which this module re-exports.
 """
 
 import ctypes
@@ -12,28 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitalloc, codebook, container
-
-
-@dataclass(frozen=True)
-class RunConfig(codebook.FitConfig):
-    """Everything a quantization run needs besides the tensors: the
-    optimizer settings of every group's fit plus the layer-level ones,
-    checked as FitConfig's are.  Unlike a bare fit, a run codes linearly
-    unless ``companding`` is set."""
-
-    companding: bool = False
-    dim: int = 8
-    bits: float = 2.0
-    group_width: int = 128
-    bit_alloc: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        codebook._check_count("dim", self.dim)
-        if not 1.0 <= self.bits <= codebook.MAX_BITS:
-            raise ValueError(
-                f"bits must lie in [1, {codebook.MAX_BITS}], got {self.bits}")
-        codebook._check_count("group_width", self.group_width)
+from .codebook import RunConfig
 
 
 @dataclass

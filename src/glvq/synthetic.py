@@ -15,7 +15,7 @@ import numpy as np
 
 from . import codebook, pipeline
 from .bitalloc import is_integer_target
-from .codebook import FitConfig, unreshape_group
+from .codebook import RunConfig, unreshape_group
 from .container import overhead_report
 
 SUITE_ROWS = 256
@@ -25,7 +25,7 @@ SUITE_MIXING = 0.5
 SOURCES = ("gaussian", "laplacian", "student_t")
 PRESETS = ("bit-alloc", "lattice", "companding", "group-size", "rounding")
 GROUP_SIZE_WIDTHS = (32, 64, 128, 256, 512)
-# Presets that fit one group per arm: (arm, FitConfig override) pairs, the
+# Presets that fit one group per arm: (arm, RunConfig override) pairs, the
 # first arm being the one expected to score lower.
 _FIT_ARMS = {
     "lattice": (("learned", {"fixed_basis": False}),
@@ -88,7 +88,7 @@ def _score(weights, w_hat, calib, iterations, converged, final_loss) -> dict:
             "converged": converged, "final_loss": final_loss}
 
 
-def fit_and_score(weights, calib, *, dim: int, bits: int, cfg: FitConfig) -> dict:
+def fit_and_score(weights, calib, *, dim: int, bits: int, cfg: RunConfig) -> dict:
     codec, codes, report = codebook.fit_group(weights, calib, dim, bits, cfg)
     return _score(weights, codebook.reconstruct(codes, codec), calib,
                   report.iterations, report.converged, report.final_loss)
@@ -130,14 +130,14 @@ def _suite_settings(config, seeds: int):
     """The config (default RunConfig()), its dim and integer bits."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    cfg = config or pipeline.RunConfig()
+    cfg = config or RunConfig()
     if not is_integer_target(cfg.bits):
         raise ValueError("ablation presets use integer bit-widths")
     return cfg, cfg.dim, round(cfg.bits)
 
 
 def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
-                 base_seed: int = 0, config: pipeline.RunConfig | None = None):
+                 base_seed: int = 0, config: RunConfig | None = None):
     """Run one paired ablation preset over the suite at ``config``.
 
     Returns (rows, summaries): per-seed metric rows plus sign-test
@@ -212,7 +212,7 @@ def run_ablation(preset: str, *, seeds: int = 20, source: str = "student_t",
 
 
 def glvq_vs_rtn(seeds: int = 20, *, source: str = "student_t",
-                base_seed: int = 0, config: pipeline.RunConfig | None = None):
+                base_seed: int = 0, config: RunConfig | None = None):
     """Paired full-pipeline vs RTN comparison on the suite at ``config``."""
     cfg, dim, bits = _suite_settings(config, seeds)
     rows = []

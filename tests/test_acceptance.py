@@ -13,7 +13,7 @@ import pytest
 from glvq import cli, companding, container, pipeline, synthetic
 from glvq.bitalloc import (allocate_bits, balanced_bits, compute_salience,
                            kl_objective)
-from glvq.codebook import (FitConfig, GroupCodec, fit_group, grad_basis,
+from glvq.codebook import (GroupCodec, RunConfig, fit_group, grad_basis,
                            grad_mu, group_loss, init_codec, quantize_columns,
                            reconstruct, reshape_group, rtn_quantize)
 from glvq.lattice import (babai_error_bound, babai_round, decode, exact_cvp,
@@ -197,7 +197,7 @@ def test_criterion_6_optimizer_contract():
         for d in (4, 8):
             for s in range(20):
                 w, x = synthetic.make_group(s, source=source, dim=d)
-                _, _, rep = fit_group(w, x, d, 2, FitConfig())
+                _, _, rep = fit_group(w, x, d, 2, RunConfig(companding=True))
                 total += 1
                 converged += rep.converged
                 if np.any(np.diff(np.array(rep.loss_history)) > 0):

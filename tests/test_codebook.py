@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from glvq import codebook, companding, container, synthetic
-from glvq.codebook import (FitConfig, GroupCodec, _hessian_loss, code_range,
+from glvq.codebook import (GroupCodec, RunConfig, _hessian_loss, code_range,
                            fit_group, gcd_quantize_columns, grad_basis, grad_mu,
                            group_loss, init_codec, quantize_columns,
                            reconstruct, reshape_group, rtn_quantize,
                            spectral_normalize, unreshape_group)
+
+COMPANDED = RunConfig(companding=True)
 
 
 def make_codec(basis, mu, bits, scale, rows, cols):
@@ -103,7 +107,7 @@ def test_fit_group_gives_int8_codes():
     rng = np.random.default_rng(24)
     w = rng.standard_normal((16, 8)).astype(np.float32)
     x = rng.standard_normal((8, 12)).astype(np.float32)
-    codec, codes, _ = fit_group(w, x, 4, 3, FitConfig(max_iters=5))
+    codec, codes, _ = fit_group(w, x, 4, 3, replace(COMPANDED, max_iters=5))
     assert codes.dtype == np.int8 and codes.shape == (4, codec.columns)
 
 
@@ -428,8 +432,8 @@ def test_init_codec_matches_lu_solve_form():
         assert np.allclose(codec.basis, expected, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True),
-                                    FitConfig(companding=False)))
+@pytest.mark.parametrize("config", (COMPANDED, replace(COMPANDED, fixed_basis=True),
+                                    RunConfig()))
 def test_init_codec_leaves_the_weights_unchanged(config):
     # float64 weights reach the encode steps uncopied
     rng = np.random.default_rng(17)
@@ -440,7 +444,7 @@ def test_init_codec_leaves_the_weights_unchanged(config):
         assert np.array_equal(w, before)
 
 
-@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True)))
+@pytest.mark.parametrize("config", (COMPANDED, replace(COMPANDED, fixed_basis=True)))
 def test_init_group_returns_the_codec_latent(config):
     # with fixed_basis the percentile is taken over the latent itself, so
     # its magnitudes must not be taken in place
@@ -463,7 +467,7 @@ def _sparse_group():
 def test_fit_sparse_group_beats_zero(companding_on):
     # the fit must keep the basis singular values in range and beat w_hat = 0
     w, x = _sparse_group()
-    codec, codes, _ = fit_group(w, x, 8, 2, FitConfig(companding=companding_on))
+    codec, codes, _ = fit_group(w, x, 8, 2, RunConfig(companding=companding_on))
     s = np.linalg.svd(codec.basis, compute_uv=False)
     assert codebook.SIGMA_MIN <= s.min() and s.max() <= codebook.SIGMA_MAX
     err = np.sum(((reconstruct(codes, codec) - w) @ x) ** 2) / np.sum((w @ x) ** 2)
@@ -476,10 +480,25 @@ def test_fit_sparse_group_with_fixed_basis_beats_zero(companding_on):
     # identity grid would leave the companded fit at 3.6 times the error of
     # w_hat = 0, the largest magnitude at the code-range edge at 0.43
     w, x = _sparse_group()
-    config = FitConfig(companding=companding_on, fixed_basis=True)
+    config = RunConfig(companding=companding_on, fixed_basis=True)
     codec, codes, _ = fit_group(w, x, 8, 2, config)
     err = np.sum(((reconstruct(codes, codec) - w) @ x) ** 2) / np.sum((w @ x) ** 2)
     assert err < 1.0
+
+
+def test_bare_fit_codes_linearly_as_a_run_does():
+    # init_codec and fit_group without a config read RunConfig(), the
+    # settings a run starts from: no mu-law stage
+    rng = np.random.default_rng(26)
+    w = rng.standard_t(4, size=(32, 16))
+    x = rng.standard_normal((16, 24))
+    assert init_codec(w, 4, 2).mu == 0.0
+    codec, codes, _ = fit_group(w, x, 4, 2)
+    want, want_codes, _ = fit_group(w, x, 4, 2, RunConfig())
+    assert codec.mu == want.mu == 0.0
+    assert codec.basis.tobytes() == want.basis.tobytes()
+    assert codec.scale == want.scale
+    assert np.array_equal(codes, want_codes)
 
 
 def test_init_codec_preconditions():
@@ -495,7 +514,7 @@ def test_fit_group_monotone_history_and_convergence():
     rng = np.random.default_rng(14)
     w = rng.standard_t(4, size=(64, 32))
     x = rng.standard_normal((32, 16))
-    _, _, report = fit_group(w, x, 4, 2, FitConfig())
+    _, _, report = fit_group(w, x, 4, 2, COMPANDED)
     h = np.array(report.loss_history)
     assert np.all(np.diff(h) <= 0)
     assert report.converged
@@ -508,7 +527,7 @@ def test_fit_group_beats_rtn_on_heavy_tails():
     lat = mix @ rng.standard_t(4, size=(8, 2048))
     w = unreshape_group(lat, 256, 64)
     x = rng.standard_normal((64, 128))
-    codec, codes, _ = fit_group(w, x, 8, 2, FitConfig())
+    codec, codes, _ = fit_group(w, x, 8, 2, COMPANDED)
     glvq_err = (((reconstruct(codes, codec) - w) @ x) ** 2).sum()
     rtn_err = (((rtn_quantize(w, 2) - w) @ x) ** 2).sum()
     assert glvq_err < rtn_err
@@ -532,7 +551,7 @@ def test_fit_group_gradients_only_for_accepted_steps(monkeypatch):
     count(companding, "expand_grad")
     count(companding, "compand")
     count(codebook, "spectral_normalize")  # once at init, once per basis proposal
-    _, _, report = fit_group(w, x, 4, 2, FitConfig())
+    _, _, report = fit_group(w, x, 4, 2, COMPANDED)
     accepts = len(report.loss_history) - 1
     mu_proposals = report.proposals - (calls["spectral_normalize"] - 1)
     assert 0 < accepts < report.proposals and mu_proposals > 0
@@ -548,7 +567,7 @@ def test_fit_group_stop_reasons():
     x = rng.standard_normal((8, 4))
 
     def stop(**overrides):
-        _, _, report = fit_group(w, x, 2, 2, FitConfig(**overrides))
+        _, _, report = fit_group(w, x, 2, 2, replace(COMPANDED, **overrides))
         return report
 
     report = stop()
@@ -702,7 +721,7 @@ def test_reshape_peak_is_at_most_two_group_copies(traced_peak):
     assert peak <= 2 * 8 * g.size + _OVERHEAD
 
 
-@pytest.mark.parametrize("config", (FitConfig(), FitConfig(fixed_basis=True)))
+@pytest.mark.parametrize("config", (COMPANDED, replace(COMPANDED, fixed_basis=True)))
 def test_init_codec_peak_is_at_most_three_group_copies(traced_peak, config):
     # the float64 weights, the latent and one of: compand's result, the
     # whitened coordinates, their magnitudes (5 when |w|, c * c, the
@@ -716,7 +735,7 @@ def test_init_codec_does_not_call_np_percentile(monkeypatch):
     # the percentile is taken by one in-place partition; np.percentile,
     # which partitions at both ranks, is never called
     g = _large_group()
-    configs = (FitConfig(), FitConfig(fixed_basis=True))
+    configs = (COMPANDED, replace(COMPANDED, fixed_basis=True))
     expected = [init_codec(g, 8, 2, config) for config in configs]
 
     def raising(*args, **kwargs):

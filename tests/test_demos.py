@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/, and README's Python quickstart,
+runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    result = subprocess.run([sys.executable, str(demo)], env=ENV, cwd=ROOT,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    result = subprocess.run([sys.executable, "-c", blocks[0]], env=ENV, cwd=ROOT,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "bits_per_weight" in result.stdout

@@ -177,13 +177,12 @@ def test_library_bad_settings_are_not_data_errors(name):
 
 # (config class, fields) that the config rejects when built or replaced
 BAD_CONFIGS = [
-    (codebook.FitConfig, {"tol": float("nan")}),
-    (codebook.FitConfig, {"tol": -1.0}),
-    (codebook.FitConfig, {"tol": float("inf")}),
-    (codebook.FitConfig, {"max_iters": 0}),
-    (codebook.FitConfig, {"max_iters": 2.5}),
     (pipeline.RunConfig, {"tol": float("nan")}),
+    (pipeline.RunConfig, {"tol": -1.0}),
+    (pipeline.RunConfig, {"tol": float("inf")}),
+    (pipeline.RunConfig, {"max_iters": 0}),
     (pipeline.RunConfig, {"max_iters": -3}),
+    (pipeline.RunConfig, {"max_iters": 2.5}),
     (pipeline.RunConfig, {"dim": 0}),
     (pipeline.RunConfig, {"dim": 2.5}),
     (pipeline.RunConfig, {"bits": 9.0}),
@@ -204,9 +203,9 @@ def test_bad_config_is_rejected_when_built_or_replaced(kind, fields):
 
 def test_config_tol_zero_builds_and_configs_are_frozen():
     # tol = 0 means "never stop on tolerance"
-    assert codebook.FitConfig(tol=0.0).tol == 0.0
+    assert pipeline.RunConfig(tol=0.0).tol == 0.0
     assert dataclasses.replace(CFG, tol=0.0).tol == 0.0
-    for cfg in (codebook.FitConfig(), CFG):
+    for cfg in (pipeline.RunConfig(), CFG):
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.tol = float("nan")
         assert cfg.tol == 1e-4
@@ -225,7 +224,8 @@ def test_group_fit_bad_data_is_data_error(name):
     w, x = BAD_DATA[name]
     assert codebook.DataError is container.DataError
     with pytest.raises(container.DataError):
-        codebook.fit_group(w, x, 4, 2, codebook.FitConfig(max_iters=5))
+        codebook.fit_group(w, x, 4, 2,
+                           pipeline.RunConfig(max_iters=5, companding=True))
     if w is not W:  # bad weights: init_codec, which takes no calib, rejects them too
         with pytest.raises(container.DataError):
             codebook.init_codec(w, 4, 2)

@@ -578,15 +578,18 @@ def test_cli_tiny_companded_group_round_trips(tmp_path, dim):
     # three weights leave the kurtosis undefined, as an all-zero group's
     # is: the curvature starts at MU_MIN instead of failing the run
     w = np.array([[0.5, -1.0, 2.0]])
-    assert init_codec(w, dim, 2).mu == companding.MU_MIN
+    companded = pipeline.RunConfig(companding=True)
+    assert init_codec(w, dim, 2, companded).mu == companding.MU_MIN
     x = np.random.default_rng(14).standard_normal((3, 4))
     arch, out = tmp_path / "t.glvq", tmp_path / "t.f32"
     assert run(["quantize", write_pair(tmp_path, "w", w),
                 write_pair(tmp_path, "x", x), "--out", arch, "--dim", dim,
-                "--bits", 2, "--group-width", 3] + FAST) == 0
+                "--bits", 2, "--group-width", 3, "--companding"] + FAST) == 0
     assert run(["dequantize", arch, "--out", out]) == 0
     back = container.read_tensor_file(str(out))
-    decoded = container.read_archive(arch.read_bytes()).decode_matrix()
+    archive = container.read_archive(arch.read_bytes())
+    assert [g.codec.mu for g in archive] == [companding.MU_MIN]
+    decoded = archive.decode_matrix()
     assert back.shape == (1, 3) and back.any()
     assert np.array_equal(back, decoded.astype(np.float32))
 
@@ -842,6 +845,13 @@ def test_cli_ablate_nan_bits_gets_range_message(capsys):
     assert run(["ablate", "--preset", "rounding", "--seeds", 1,
                 "--bits", "nan"]) == 2
     assert "bits must lie in [1, 8]" in capsys.readouterr().err
+
+
+def test_cli_ablate_fractional_bits_is_usage_error(capsys):
+    # --bits is a run flag that glvq quantize takes fractional; the paired
+    # ablations fit at one integer width
+    assert run(["ablate", "--preset", "lattice", "--seeds", 1, "--bits", 1.5]) == 2
+    assert "integer bit-widths" in capsys.readouterr().err
 
 
 def test_ablation_reads_dim_and_bits_from_its_config():
