@@ -115,9 +115,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
-    matrix = container.read_archive(Path(args.archive).read_bytes()).decode_matrix()
-    container.write_tensor_file(args.out, matrix)
-    print(f"wrote {args.out}: shape {matrix.shape[0]}x{matrix.shape[1]}")
+    archive = container.read_archive(Path(args.archive).read_bytes())
+    rows, cols = container.write_tensor_file(args.out, archive.row_blocks())
+    print(f"wrote {args.out}: shape {rows}x{cols}")
     return EXIT_OK
 
 

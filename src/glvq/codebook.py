@@ -247,10 +247,10 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     (a float m x n array) or, when it is None, into a new column-major
     float64 one.  The first two arrays are the two halves of the first
     2 * codes.size values of ``scratch``, a flat float64 buffer that
-    decode_matrix passes for all its groups, or, when it is None, two new
-    arrays, which the fit keeps for its gradients.  With ``scratch`` and
-    mu > 0 the first one holds expand(G Z), not Z: Z is dead after the
-    matmul."""
+    decode_matrix and row_blocks pass for all their groups, or, when it
+    is None, two new arrays, which the fit keeps for its gradients.  With
+    ``scratch`` and mu > 0 the first one holds expand(G Z), not Z: Z is
+    dead after the matmul."""
     z = np.asarray(codes)
     if scratch is None:
         zf, v = np.empty(z.shape), np.empty(z.shape)
@@ -277,6 +277,34 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     order = "F" if out.flags.f_contiguous else "C"
     np.multiply(src, codec.scale, out=dst, order=order)
     return zf, v, out
+
+
+def _decode_rows(codes, codec: GroupCodec, r0: int, r1: int, out, scratch=None):
+    """Rows [r0, r1) of the group's _decode, written into ``out``, a float
+    (r1 - r0) x cols array, and returned; ``scratch`` as for _decode.
+    All rows are the group's own decode.  With rows % dim == 0 and r0, r1
+    multiples of dim the rows are a group of their own; otherwise the
+    vectors that hold them, at most (r1 - r0) / dim + 2 per column, are
+    gathered and decoded.  Either way 2 * cols * (r1 - r0 + 2 * dim)
+    scratch values suffice."""
+    rows, cols, dim = codec.rows, codec.cols, codec.dim
+    if (r0, r1) == (0, rows):
+        return _decode(codes, codec, out, scratch)[2]
+    if rows % dim == 0 and r0 % dim == 0 and r1 % dim == 0:
+        # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of column c
+        sub = np.asarray(codes).reshape(dim, cols, rows // dim)[:, :, r0 // dim:r1 // dim]
+        return _decode(sub.reshape(dim, -1), replace(codec, rows=r1 - r0), out, scratch)[2]
+    # row r of column c is flat value c * rows + r of the latent, element
+    # (c * rows + r) % dim of vector (c * rows + r) // dim; the `count`
+    # vectors from each column's first one form a count*dim x cols group
+    # (an index past the last vector is clamped; its values go unused)
+    first, skip = np.divmod(np.arange(cols) * rows + r0, dim)
+    count = (int(skip.max()) + r1 - r0 + dim - 1) // dim
+    idx = np.minimum(first[:, None] + np.arange(count), codec.columns - 1)
+    part = _decode(np.asarray(codes)[:, idx.ravel()],
+                   replace(codec, rows=count * dim), None, scratch)[2]
+    out[...] = np.take_along_axis(part, skip + np.arange(r1 - r0)[:, None], axis=0)
+    return out
 
 
 def reconstruct(codes, codec: GroupCodec) -> np.ndarray:

@@ -4,7 +4,10 @@ Tensor files are raw little-endian float32 payloads (row-major) with a
 JSON sidecar manifest: {"shape": [rows, cols], "dtype": "f32",
 "layout": "row-major"}.  read_tensor_file returns the float32 array as
 stored, so a layer in memory takes 4 bytes per weight until a
-computation converts it to float64.
+computation converts it to float64.  write_tensor_file writes an array
+or a stream of row blocks, such as GlvqArchive.row_blocks, the decoded
+tensor of an archive about 4 MiB of rows at a time: a decode to a file
+need not hold the tensor.
 
 Archive layout (".glvq", all multi-byte integers little-endian):
 
@@ -37,8 +40,8 @@ than the one rows, cols and dim fix, a payload of the wrong length, set
 bits past the last code (pack_codes zero-fills them) and trailing bytes.
 So every archive that read_archive accepts is exactly what write_archive
 writes for its records: read_archive(b).to_bytes() == b.  `decode_matrix`
-rejects an archive whose decoded values do not fit float32, naming the
-group.  ArchiveError covers each case.
+and `row_blocks` reject an archive whose decoded values do not fit
+float32, naming the group.  ArchiveError covers each case.
 
 DataError, a ValueError defined in codebook and re-exported here, marks
 bad input data rather than bad settings.  ArchiveError,
@@ -46,6 +49,7 @@ TruncatedPayloadError (unpack_codes) and TensorFormatError
 (read_tensor_file) derive from it.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -54,13 +58,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import DataError, GroupCodec, _check_count, _decode, code_range, reconstruct
+from .codebook import (DataError, GroupCodec, _check_count, _decode_rows, code_range,
+                       reconstruct)
 
 MAGIC = b"GLVQ"
 VERSION = 1
 _FP16_MAX = float(np.finfo(np.float16).max)  # 65504
 _FP16_MIN_NORMAL = float(np.finfo(np.float16).tiny)  # 2^-14
 _MAX_AXIS = np.iinfo(np.intp).max // 8  # longest axis of a float64 array
+_BLOCK_BYTES = 1 << 22  # float32 output GlvqArchive.row_blocks decodes at a time: 4 MiB
 
 _HEADER = struct.Struct("<4sHI")
 _RECORD = struct.Struct("<IIHBHee")
@@ -167,27 +173,62 @@ class ArchiveGroup:
 class GlvqArchive(list):
     """Parsed archive: the list of its ArchiveGroup records."""
 
+    def _layout(self):
+        """(rows, the column stops of the groups), or ArchiveError if the
+        groups disagree on row count."""
+        rows = {g.codec.rows for g in self}
+        if len(rows) > 1:
+            raise ArchiveError("groups disagree on row count")
+        return max(rows, default=0), np.cumsum([0] + [g.codec.cols for g in self])
+
+    def _decode_span(self, idx, codes, r0, r1, out, scratch) -> None:
+        """Rows [r0, r1) of group ``idx`` into ``out``, or ArchiveError
+        naming the group if a value overflows float32."""
+        with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
+            span = _decode_rows(codes, self[idx].codec, r0, r1, out, scratch)
+        if not np.isfinite(span).all():
+            raise ArchiveError(
+                f"group {idx} decodes to values outside the float32 range")
+
     def decode_matrix(self) -> np.ndarray:
         """Decode every group into its column span of one row-major float32
         tensor; ArchiveError if row counts differ, or naming the first group
         with a value that overflows it.  The groups share one float64
-        buffer for Z as float and G Z, sized for the largest, and each span
-        is checked as it is written, so beyond the output the decode holds
-        one group's temporaries."""
-        rows = {g.codec.rows for g in self}
-        if len(rows) > 1:
-            raise ArchiveError("groups disagree on row count")
-        stops = np.cumsum([0] + [g.codec.cols for g in self])
-        out = np.empty((max(rows, default=0), stops[-1]), dtype=np.float32)
+        buffer for Z as float and G Z, sized for the largest, and codes
+        are unpacked one group at a time, so beyond the output the decode
+        holds one group's temporaries.  row_blocks gives the same bytes
+        without holding the output."""
+        rows, stops = self._layout()
+        out = np.empty((rows, stops[-1]), dtype=np.float32)
         scratch = np.empty(2 * max((g.codec.dim * g.codec.columns for g in self),
                                    default=0))
-        with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
-            for idx, (g, a, b) in enumerate(zip(self, stops, stops[1:])):
-                span = _decode(g.codes, g.codec, out[:, a:b], scratch)[2]
-                if not np.isfinite(span).all():
-                    raise ArchiveError(
-                        f"group {idx} decodes to values outside the float32 range")
+        for idx, (g, a, b) in enumerate(zip(self, stops, stops[1:])):
+            self._decode_span(idx, g.codes, 0, rows, out[:, a:b], scratch)
         return out
+
+    def row_blocks(self):
+        """decode_matrix's tensor as consecutive row-major float32 row
+        blocks of about _BLOCK_BYTES each, for write_tensor_file.  Each
+        block is a view of one buffer that the next block overwrites: copy
+        a block to keep it.  Checks row counts before the first block,
+        then unpacks every group's codes once (one byte per weight) and
+        decodes each block as it is asked for, so the stream holds the
+        archive, its codes and one block.  A group that overflows float32
+        in a block raises ArchiveError naming it; the blocks before it have
+        been given."""
+        rows, stops = self._layout()
+        step = max(1, min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1))))
+        codes = [g.codes for g in self]
+        buf = np.empty((step, stops[-1]), dtype=np.float32)
+        # _decode_rows' bound for `step` rows of the widest group
+        scratch = np.empty(2 * max((g.codec.cols * (step + 2 * g.codec.dim)
+                                    for g in self), default=0))
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            block = buf[:r1 - r0]
+            for idx, (a, b) in enumerate(zip(stops, stops[1:])):
+                self._decode_span(idx, codes[idx], r0, r1, block[:, a:b], scratch)
+            yield block
 
     def to_bytes(self) -> bytes:
         """write_archive of the parsed codes: read_archive(b).to_bytes() == b
@@ -313,12 +354,14 @@ def record_side_bytes(dim: int) -> int:
     return _RECORD.size + 2 * dim * dim + _PAYLEN.size
 
 
-def atomic_write_bytes(path, data) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file that replaces ``path`` when the block ends; on any
+    failure it is removed, so failures leave no partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -326,21 +369,47 @@ def atomic_write_bytes(path, data) -> None:
         raise
 
 
+def atomic_write_bytes(path, data) -> None:
+    """Write via a temp file and rename, so failures leave no partial file."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def _manifest_path(path: str) -> str:
     root, ext = os.path.splitext(path)
     return (root if ext == ".f32" else path) + ".json"
 
 
-def write_tensor_file(path, array) -> None:
-    """Write a 2-D float32 tensor payload plus its JSON manifest."""
-    a = np.ascontiguousarray(array, dtype="<f4")
-    if a.ndim != 2:
-        raise ValueError(f"tensor files hold 2-D arrays, got shape {a.shape}")
-    manifest = {"shape": [int(a.shape[0]), int(a.shape[1])],
-                "dtype": "f32", "layout": "row-major"}
-    atomic_write_bytes(path, a)
-    atomic_write_bytes(_manifest_path(path),
-                       (json.dumps(manifest, indent=2) + "\n").encode())
+def write_tensor_file(path, blocks):
+    """Write a float32 tensor payload plus its JSON manifest, and return
+    its (rows, cols).  ``blocks`` is a 2-D array, or an iterable of 2-D
+    row blocks of one column count (GlvqArchive.row_blocks), written as
+    they come; no blocks make a 0 x 0 tensor.  The payload goes through a
+    temp file and the manifest is written last; if either fails, neither
+    file is left.  ValueError for a block that is not 2-D or changes the
+    column count."""
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
+    rows, cols = 0, None
+    with _atomic_file(path) as fh:
+        for block in blocks:
+            a = np.ascontiguousarray(block, dtype="<f4")
+            if a.ndim != 2:
+                raise ValueError(f"tensor files hold 2-D arrays, got shape {a.shape}")
+            if cols not in (None, a.shape[1]):
+                raise ValueError(f"a row block of {a.shape[1]} columns "
+                                 f"follows blocks of {cols}")
+            fh.write(a)
+            rows, cols = rows + a.shape[0], a.shape[1]
+    shape = (rows, cols or 0)
+    manifest = {"shape": list(shape), "dtype": "f32", "layout": "row-major"}
+    try:
+        atomic_write_bytes(_manifest_path(path),
+                           (json.dumps(manifest, indent=2) + "\n").encode())
+    except BaseException:  # a payload without its manifest is no tensor file
+        os.unlink(path)
+        raise
+    return shape
 
 
 def read_tensor_file(path) -> np.ndarray:

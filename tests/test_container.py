@@ -1,8 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from glvq import container
 from glvq.codebook import GroupCodec, _decode, reconstruct
 from glvq.container import (ArchiveError, BadMagicError,
                             TruncatedArchiveError, TruncatedPayloadError,
@@ -320,6 +322,73 @@ def test_decode_matrix_peak_is_its_codes_and_one_buffer_over_its_output(traced_p
     assert peak - out.nbytes <= 2.5 * 8 * 512 * 128
 
 
+def _mixed_archive(rows):
+    # dims 1-5, 8 and 12, mu = 0 and mu > 0; at rows = 24 the dim 5 group
+    # is padded (rows % dim != 0), at rows = 13 every group but dim 1 is
+    rng = np.random.default_rng(13)
+    records = []
+    for dim, cols, mu in ((1, 3, 0.0), (2, 2, 100.0), (3, 4, 0.0), (4, 1, 60.0),
+                          (5, 3, 10.0), (8, 5, 0.0), (12, 2, 255.0)):
+        codec = make_codec(rng, dim, 2, rows, cols, mu=mu)
+        records.append((codec, random_codes(rng, 2, dim, codec.columns)))
+    return read_archive(write_archive(records))
+
+
+@pytest.mark.parametrize("rows", [13, 24])
+@pytest.mark.parametrize("block_rows", [1, 3, 5, 8, None])
+def test_row_blocks_write_the_decode_matrix_bytes(tmp_path, monkeypatch, rows,
+                                                  block_rows):
+    # block rows that divide no dim, some dims or all of them, and row
+    # counts that are no multiple of the block; None keeps the 4 MiB blocks
+    arch = _mixed_archive(rows)
+    expected = arch.decode_matrix()
+    if block_rows:
+        monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * expected.shape[1] * block_rows)
+    blocks = [b.copy() for b in arch.row_blocks()]
+    assert len(blocks) == -(-rows // (block_rows or rows))
+    path = tmp_path / "o.f32"
+    assert write_tensor_file(str(path), arch.row_blocks()) == expected.shape
+    assert path.read_bytes() == np.vstack(blocks).tobytes() == expected.tobytes()
+    assert json.loads((tmp_path / "o.json").read_text())["shape"] == list(expected.shape)
+
+
+def test_row_blocks_of_an_empty_archive_write_an_empty_tensor(tmp_path):
+    path = tmp_path / "o.f32"
+    shape = write_tensor_file(str(path), read_archive(write_archive([])).row_blocks())
+    assert shape == (0, 0) and path.read_bytes() == b""
+    assert json.loads((tmp_path / "o.json").read_text())["shape"] == [0, 0]
+
+
+def test_row_blocks_name_a_group_that_overflows_in_a_later_block(monkeypatch):
+    # group 1's codes are 0 but for the vector of rows 6-7 of its second
+    # column: with 2-row blocks the first three blocks decode and the
+    # fourth overflows float32, as in test_archive_decode_names_the_group_that_overflows
+    fine = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=2,
+                      rows=8, cols=2)
+    wild = GroupCodec(basis=21.0 * np.eye(2), mu=100.0, bits=2, scale=1.0,
+                      dim=2, rows=8, cols=2)
+    codes = np.zeros((2, 8), int)
+    codes[:, 7] = -2
+    arch = read_archive(write_archive([(fine, codes), (wild, codes)]))
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * 4 * 2)
+    stream = arch.row_blocks()
+    for _ in range(3):
+        assert np.isfinite(next(stream)).all()
+    with pytest.raises(ArchiveError, match="^group 1 decodes"):
+        next(stream)
+
+
+def test_row_blocks_check_row_counts_before_the_first_block():
+    rng = np.random.default_rng(7)
+    records = []
+    for rows in (4, 6):
+        codec = make_codec(rng, 2, 2, rows, 3)
+        records.append((codec, random_codes(rng, 2, 2, codec.columns)))
+    arch = read_archive(write_archive(records))
+    with pytest.raises(ArchiveError, match="groups disagree on row count"):
+        next(arch.row_blocks())
+
+
 def test_archive_parse_errors_distinct():
     rng = np.random.default_rng(5)
     codec = make_codec(rng, 2, 2, 4, 4)
@@ -538,6 +607,21 @@ def test_tensor_file_write_rejects_other_than_2d(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_tensor_file(str(path), np.ones(3, dtype=np.float32))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocks", [
+    [np.ones((2, 3)), np.ones((1, 4))], [np.ones((2, 3)), np.ones(3)]])
+def test_tensor_file_write_rejects_blocks_that_do_not_stack(tmp_path, blocks):
+    with pytest.raises(ValueError):
+        write_tensor_file(str(tmp_path / "w.f32"), iter(blocks))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tensor_file_write_leaves_no_payload_without_its_manifest(tmp_path):
+    (tmp_path / "w.json").mkdir()
+    with pytest.raises(OSError):
+        write_tensor_file(str(tmp_path / "w.f32"), np.ones((2, 2)))
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
 
 def test_tensor_file_manifest_mismatch(tmp_path):

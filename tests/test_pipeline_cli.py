@@ -487,6 +487,59 @@ def test_cli_truncated_archive_no_partial_output(tmp_path):
     assert not out.exists()
 
 
+def test_cli_dequantize_failing_manifest_write_leaves_no_payload(tmp_path):
+    # the manifest path is a directory, so its write fails after the payload
+    codec = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=2,
+                       rows=4, cols=2)
+    arch = tmp_path / "m.glvq"
+    arch.write_bytes(container.write_archive([(codec, np.ones((2, 4), int))]))
+    out_dir = tmp_path / "t"
+    (out_dir / "o.json").mkdir(parents=True)
+    assert run(["dequantize", arch, "--out", out_dir / "o.f32"]) == 3
+    assert [p.name for p in out_dir.iterdir()] == ["o.json"]
+
+
+def test_cli_dequantize_overflow_in_a_later_block_leaves_no_output(
+        tmp_path, monkeypatch, capsys):
+    # group 1 overflows float32 only in rows 6-7, the last of four 2-row
+    # blocks, after the first three have been written
+    fine = GroupCodec(basis=np.eye(2), mu=0.0, bits=2, scale=1.0, dim=2,
+                      rows=8, cols=2)
+    wild = GroupCodec(basis=21.0 * np.eye(2), mu=100.0, bits=2, scale=1.0,
+                      dim=2, rows=8, cols=2)
+    codes = np.zeros((2, 8), int)
+    codes[:, 7] = -2
+    arch = tmp_path / "m.glvq"
+    arch.write_bytes(container.write_archive([(fine, codes), (wild, codes)]))
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * 4 * 2)
+    capsys.readouterr()
+    assert run(["dequantize", arch, "--out", tmp_path / "o.f32"]) == 3
+    assert capsys.readouterr().err.startswith("error: group 1 decodes")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.glvq"]
+
+
+def test_cli_dequantize_holds_under_half_its_output(tmp_path, monkeypatch,
+                                                   traced_peak):
+    # 16 blocks of 64 rows: beyond the archive the command holds its codes
+    # (a quarter of the output), one block and a block-sized scratch, where
+    # decoding the whole tensor first holds all of it
+    rng = np.random.default_rng(14)
+    records = []
+    for _ in range(8):
+        codec = GroupCodec(basis=0.3 * np.eye(8), mu=0.0, bits=2, scale=1.0,
+                           dim=8, rows=1024, cols=128)
+        records.append((codec, rng.integers(-2, 2, size=(8, codec.columns),
+                                            dtype=np.int8)))
+    arch = tmp_path / "m.glvq"
+    arch.write_bytes(container.write_archive(records))
+    del records
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * 1024 * 64)
+    out = tmp_path / "o.f32"
+    code, peak = traced_peak(run, ["dequantize", arch, "--out", out])
+    assert code == 0 and out.stat().st_size == 4 * 1024 * 1024
+    assert peak < out.stat().st_size / 2
+
+
 @pytest.mark.parametrize("field,value", [
     ("mu", 5.0), ("mu", np.inf), ("mu", np.nan), ("scale", np.nan),
     ("scale", 0.0), ("basis", np.nan), ("basis", 1000.0), ("basis", 25.0),
