@@ -279,7 +279,7 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     return zf, v, out
 
 
-def _decode_rows(codes, codec: GroupCodec, r0: int, r1: int, out, scratch=None):
+def _decode_rows(codes, codec: GroupCodec, r0: int, r1: int, out, scratch):
     """Rows [r0, r1) of the group's _decode, written into ``out``, a float
     (r1 - r0) x cols array, and returned; ``scratch`` as for _decode.
     All rows are the group's own decode.  With rows % dim == 0 and r0, r1
