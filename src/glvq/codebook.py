@@ -285,8 +285,10 @@ def _decode_rows(codes, codec: GroupCodec, r0: int, r1: int, out, scratch):
     All rows are the group's own decode.  With rows % dim == 0 and r0, r1
     multiples of dim the rows are a group of their own; otherwise the
     vectors that hold them, at most (r1 - r0) / dim + 2 per column, are
-    gathered and decoded.  Either way 2 * cols * (r1 - r0 + 2 * dim)
-    scratch values suffice."""
+    gathered and decoded.  row_blocks' blocks hold whole vectors of every
+    group when the lcm of the dims fits in one, so the gather serves only
+    padded groups and mixed-dim archives whose lcm does not fit.  Either
+    way 2 * cols * (r1 - r0 + 2 * dim) scratch values suffice."""
     rows, cols, dim = codec.rows, codec.cols, codec.dim
     if (r0, r1) == (0, rows):
         return _decode(codes, codec, out, scratch)[2]

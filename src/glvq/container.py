@@ -51,6 +51,7 @@ TruncatedPayloadError (unpack_codes) and TensorFormatError
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -210,14 +211,22 @@ class GlvqArchive(list):
         """decode_matrix's tensor as consecutive row-major float32 row
         blocks of about _BLOCK_BYTES each, for write_tensor_file.  Each
         block is a view of one buffer that the next block overwrites: copy
-        a block to keep it.  Checks row counts before the first block,
-        then unpacks every group's codes once (one byte per weight) and
-        decodes each block as it is asked for, so the stream holds the
-        archive, its codes and one block.  A group that overflows float32
-        in a block raises ArchiveError naming it; the blocks before it have
-        been given."""
+        a block to keep it.  When the lcm of the groups' dims fits in a
+        block, the rows per block are rounded down to a multiple of it, so
+        a block holds whole vectors of every group and _decode_rows
+        gathers only for padded groups (rows % dim != 0) and for mixed-dim
+        archives whose lcm does not fit.  Checks row counts before the
+        first block, then unpacks every group's codes once (one byte per
+        weight) and decodes each block as it is asked for, so the stream
+        holds the archive, its codes and one block.  A group that
+        overflows float32 in a block raises ArchiveError naming it; the
+        blocks before it have been given."""
         rows, stops = self._layout()
-        step = max(1, min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1))))
+        step = min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1)))
+        lcm = math.lcm(*(g.codec.dim for g in self))
+        if lcm <= step < rows:
+            step -= step % lcm  # whole vectors of every group: no gather
+        step = max(1, step)
         codes = [g.codes for g in self]
         buf = np.empty((step, stops[-1]), dtype=np.float32)
         # _decode_rows' bound for `step` rows of the widest group

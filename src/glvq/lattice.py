@@ -2,10 +2,11 @@
 
 A d x d generation matrix G defines the lattice {G z : z integer}; each
 column of G is one basis vector.  This module provides Gram-Schmidt
-orthogonalization, LLL basis reduction, Babai rounding (the approximate
-nearest-point encoder used throughout the package), an exact brute-force
-closest-vector oracle for small dimensions, and the worst-case residual
-bound for Babai rounding on a reduced basis.
+orthogonalization and LLL basis reduction, both read off the R factor
+of a QR factorization of G, Babai rounding (the approximate nearest-point
+encoder used throughout the package), an exact brute-force closest-vector
+oracle for small dimensions, and the worst-case residual bound for Babai
+rounding on a reduced basis.
 """
 
 from dataclasses import dataclass
@@ -62,19 +63,12 @@ def check_basis(basis) -> np.ndarray:
 
 
 def gram_schmidt(basis) -> GramSchmidtBasis:
-    """Orthogonalize the columns of a full-rank basis (no normalization)."""
-    b = check_basis(basis)
-    d = b.shape[0]
-    ortho = np.zeros_like(b)
-    coeff = np.zeros((d, d))
-    for i in range(d):
-        v = b[:, i].copy()
-        for j in range(i):
-            c = float(ortho[:, j] @ v) / float(ortho[:, j] @ ortho[:, j])
-            coeff[j, i] = c
-            v -= c * ortho[:, j]
-        ortho[:, i] = v
-    return GramSchmidtBasis(ortho=ortho, gs_coeff=coeff)
+    """Orthogonalize the columns of a full-rank basis (no normalization),
+    read off one QR factorization b = Q R: b*_j = R[j, j] q_j and
+    gs_coeff[j, i] = R[j, i] / R[j, j]."""
+    q, r = np.linalg.qr(check_basis(basis))
+    diag = np.diag(r)
+    return GramSchmidtBasis(ortho=q * diag, gs_coeff=np.triu(r, 1) / diag[:, None])
 
 
 def lll_reduce(basis, delta: float = 0.75) -> np.ndarray:
@@ -83,26 +77,27 @@ def lll_reduce(basis, delta: float = 0.75) -> np.ndarray:
     The output spans the same lattice, is size-reduced (every
     |gs_coeff| <= 1/2) and satisfies the Lovasz condition
     ||b*_k||^2 >= (delta - gs_coeff[k-1,k]^2) ||b*_{k-1}||^2.
+    Each pass reads the geometry off the R of one QR factorization, as
+    gram_schmidt does, and size-reduces column k in b and R together.
     Works on a copy; the input is never modified.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     b = check_basis(basis).copy()
-    d = b.shape[0]
-    gs = gram_schmidt(b)
     k = 1
-    while k < d:
+    while k < b.shape[0]:
+        r = np.linalg.qr(b, mode="r")
         for j in range(k - 1, -1, -1):
-            mu = gs.gs_coeff[j, k]
+            mu = r[j, k] / r[j, j]
             if abs(mu) > 0.5:
-                b[:, k] -= np.floor(mu + 0.5) * b[:, j]
-                gs = gram_schmidt(b)
-        norms2 = (gs.ortho**2).sum(axis=0)
-        if norms2[k] >= (delta - gs.gs_coeff[k - 1, k] ** 2) * norms2[k - 1]:
+                q = np.floor(mu + 0.5)
+                b[:, k] -= q * b[:, j]
+                r[:, k] -= q * r[:, j]
+        # the Lovasz condition times ||b*_{k-1}||^2 = R[k-1, k-1]^2
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= delta * r[k - 1, k - 1] ** 2:
             k += 1
         else:
             b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            gs = gram_schmidt(b)
             k = max(k - 1, 1)
     return b
 

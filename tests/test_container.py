@@ -352,6 +352,28 @@ def test_row_blocks_write_the_decode_matrix_bytes(tmp_path, monkeypatch, rows,
     assert json.loads((tmp_path / "o.json").read_text())["shape"] == list(expected.shape)
 
 
+def test_row_blocks_hold_whole_vectors_when_the_dims_fit(tmp_path, monkeypatch):
+    # 13 rows' worth of bytes is no multiple of d = 8: the blocks round
+    # down to 8 rows, and every span decodes without the gather
+    rng = np.random.default_rng(15)
+    records = []
+    for bits, mu in ((1, 0.0), (2, 100.0), (3, 0.0)):
+        codec = make_codec(rng, 8, bits, 40, 3, mu=mu)
+        records.append((codec, random_codes(rng, bits, 8, codec.columns)))
+    arch = read_archive(write_archive(records))
+    expected = arch.decode_matrix()
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * expected.shape[1] * 13)
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("a block split a lattice vector")
+
+    monkeypatch.setattr(np, "take_along_axis", no_gather)
+    assert [len(b) for b in arch.row_blocks()] == [8] * 5
+    path = tmp_path / "o.f32"
+    assert write_tensor_file(str(path), arch.row_blocks()) == expected.shape
+    assert path.read_bytes() == expected.tobytes()
+
+
 def test_row_blocks_of_an_empty_archive_write_an_empty_tensor(tmp_path):
     path = tmp_path / "o.f32"
     shape = write_tensor_file(str(path), read_archive(write_archive([])).row_blocks())
