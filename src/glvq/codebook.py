@@ -279,33 +279,29 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     return zf, v, out
 
 
-def _decode_rows(codes, codec: GroupCodec, r0: int, r1: int, out, scratch):
-    """Rows [r0, r1) of the group's _decode, written into ``out``, a float
-    (r1 - r0) x cols array, and returned; ``scratch`` as for _decode.
-    All rows are the group's own decode.  With rows % dim == 0 and r0, r1
-    multiples of dim the rows are a group of their own; otherwise the
-    vectors that hold them, at most (r1 - r0) / dim + 2 per column, are
-    gathered and decoded.  row_blocks' blocks hold whole vectors of every
-    group when the lcm of the dims fits in one, so the gather serves only
-    padded groups and mixed-dim archives whose lcm does not fit.  Either
-    way 2 * cols * (r1 - r0 + 2 * dim) scratch values suffice."""
-    rows, cols, dim = codec.rows, codec.cols, codec.dim
-    if (r0, r1) == (0, rows):
-        return _decode(codes, codec, out, scratch)[2]
-    if rows % dim == 0 and r0 % dim == 0 and r1 % dim == 0:
-        # latent column c * (rows/d) + q holds rows q*d .. q*d + d-1 of column c
-        sub = np.asarray(codes).reshape(dim, cols, rows // dim)[:, :, r0 // dim:r1 // dim]
-        return _decode(sub.reshape(dim, -1), replace(codec, rows=r1 - r0), out, scratch)[2]
-    # row r of column c is flat value c * rows + r of the latent, element
-    # (c * rows + r) % dim of vector (c * rows + r) // dim; the `count`
-    # vectors from each column's first one form a count*dim x cols group
-    # (an index past the last vector is clamped; its values go unused)
-    first, skip = np.divmod(np.arange(cols) * rows + r0, dim)
-    count = (int(skip.max()) + r1 - r0 + dim - 1) // dim
-    idx = np.minimum(first[:, None] + np.arange(count), codec.columns - 1)
-    part = _decode(np.asarray(codes)[:, idx.ravel()],
-                   replace(codec, rows=count * dim), None, scratch)[2]
-    out[...] = np.take_along_axis(part, skip + np.arange(r1 - r0)[:, None], axis=0)
+def _decode_rows(codes, codec: GroupCodec, skips, out, scratch):
+    """A run of n rows of the group's _decode, written into ``out``, a
+    float n x cols array, and returned; ``scratch`` as for _decode.
+    ``codes`` is a (cols, L) int8 array, L a multiple of dim, whose row c
+    holds L consecutive flat codes of the group from the start of a
+    latent vector on; out's column c gets rows s .. s + n of their
+    decode, s = skips[c % len(skips)] and s + n <= L.  So with L == n no
+    row is skipped and the codes decode straight into ``out`` as a group
+    of their own; otherwise they decode into a new L x cols array of
+    out's dtype, and each skip's columns, a strided slice, are copied
+    from it.  2 * codes.size scratch values suffice."""
+    cols, length = codes.shape
+    n = out.shape[0]
+    # row c of the codes, cut into dim-long vectors, is column c of a
+    # group of `length` rows
+    latent = codes.reshape(-1, codec.dim).T
+    if length == n:
+        return _decode(latent, replace(codec, rows=n), out, scratch)[2]
+    part = _decode(latent, replace(codec, rows=length),
+                   np.empty((cols, length), out.dtype).T, scratch)[2]
+    period = len(skips)
+    for c, s in enumerate(skips):
+        out[:, c::period] = part[s:s + n, c::period]
     return out
 
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import companding
-from .codebook import (DataError, GroupCodec, _check_count, _decode_rows, code_range,
-                       reconstruct)
+from .codebook import (DataError, GroupCodec, _check_count, _decode, _decode_rows,
+                       code_range, reconstruct)
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -126,20 +126,24 @@ def pack_codes(codes, bits: int) -> bytes:
     return out.tobytes()[: (n * bits + 7) // 8]
 
 
-def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
-    """Exact inverse of pack_codes; returns a dim x columns int8 matrix."""
-    lo, hi = code_range(bits)
-    n = dim * columns
-    need = (n * bits + 7) // 8
-    if len(payload) != need:
-        raise TruncatedPayloadError(
-            f"payload is {len(payload)} bytes, expected {need}")
-    blocks = (n + 7) // 8
+def _payload_blocks(payload, bits: int):
+    """A payload's whole 8-code blocks as a (k, bits) uint8 view, and its
+    last block zero-filled if the codes end inside it, else None."""
     raw = np.frombuffer(payload, dtype=np.uint8)
-    if raw.size != blocks * bits:  # a partial last block: zero-fill it
-        raw = np.concatenate([raw, np.zeros(blocks * bits - raw.size, np.uint8)])
-    raw = raw.reshape(blocks, bits)
-    u = np.empty((blocks, 8), dtype=np.uint8)
+    k = raw.size // bits
+    tail = None
+    if raw.size > k * bits:
+        tail = np.zeros(bits, np.uint8)
+        tail[:raw.size - k * bits] = raw[k * bits:]
+    return raw[:k * bits].reshape(k, bits), tail
+
+
+def _unpack_blocks(raw, bits: int) -> np.ndarray:
+    """The codes of a (k, bits) uint8 array of 8-code blocks, as a new
+    (k, 8) int8 array: the one unpack loop, run on a whole payload by
+    unpack_codes and on each row block's selection by row_blocks."""
+    lo, hi = code_range(bits)
+    u = np.empty((raw.shape[0], 8), dtype=np.uint8)
     mask = np.uint8(hi - lo)
     for k in range(8):
         byte, shift = divmod(k * bits, 8)
@@ -149,7 +153,67 @@ def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarra
         code &= mask
     # z = u + lo wraps mod 256 in uint8; read as int8 it is exact
     u -= np.uint8(-lo)
-    return u.view(np.int8).ravel()[:n].reshape(columns, dim).T
+    return u.view(np.int8)
+
+
+def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
+    """Exact inverse of pack_codes; returns a dim x columns int8 matrix,
+    _unpack_blocks of the whole payload."""
+    code_range(bits)
+    n = dim * columns
+    need = (n * bits + 7) // 8
+    if len(payload) != need:
+        raise TruncatedPayloadError(
+            f"payload is {len(payload)} bytes, expected {need}")
+    whole, tail = _payload_blocks(payload, bits)
+    if tail is not None:
+        whole = np.concatenate([whole, tail[None]])
+    return _unpack_blocks(whole, bits).ravel()[:n].reshape(columns, dim).T
+
+
+def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
+    """The packed codes rows [r0, r1) of a group decode from, a (cols,
+    L/8, bits) array, and the skips _decode_rows places them by.  Row c
+    runs from flat code c * rows + r0 - s, s its skip back to a multiple
+    of lcm(8, dim), a whole block and vector; L, a multiple of that lcm,
+    covers every skip plus r1 - r0.  ``blocks`` is _payload_blocks'."""
+    rows, cols = codec.rows, codec.cols
+    whole, tail = blocks
+    grid = math.lcm(8, codec.dim)
+    if rows % grid == 0 and r0 % grid == 0 and r1 % grid == 0:
+        # rows [r0, r1) of column c are flat codes c * rows + r0 ..
+        # c * rows + r1: one run of whole blocks per column, a strided view
+        return whole.reshape(cols, rows // 8, -1)[:, r0 // 8:r1 // 8], (0,)
+    first = np.arange(cols) * rows + r0
+    skip = first % grid
+    length = -(-(int(skip.max()) + r1 - r0) // grid) * grid
+    idx = (first - skip)[:, None] // 8 + np.arange(length // 8)
+    # a block past the payload's last is clipped to it: its codes go unused
+    packed = np.take(whole if len(whole) else tail[None], idx, axis=0, mode="clip")
+    if tail is not None:
+        packed[idx >= len(whole)] = tail
+    # skips repeat every grid / gcd(rows, grid) columns
+    return packed, skip[:grid // math.gcd(rows, grid)]
+
+
+def _unpack_spans(packed, widths):
+    """Each (cols, k, bits) span as its (cols, 8k) int8 codes, with one
+    _unpack_blocks call per width."""
+    codes = [None] * len(packed)
+    for bits in set(widths):
+        members = [i for i, w in enumerate(widths) if w == bits]
+        raw = np.concatenate([packed[i].reshape(-1, bits) for i in members])
+        stops = np.cumsum([packed[i].shape[0] * packed[i].shape[1] for i in members])
+        for i, part in zip(members, np.split(_unpack_blocks(raw, bits), stops[:-1])):
+            codes[i] = part.reshape(packed[i].shape[0], -1)
+    return codes
+
+
+def _check_span(idx: int, span) -> None:
+    """ArchiveError naming group ``idx`` if its decoded ``span`` holds
+    the inf an overflow leaves under np.errstate(over="ignore")."""
+    if not np.isfinite(span).all():
+        raise ArchiveError(f"group {idx} decodes to values outside the float32 range")
 
 
 @dataclass
@@ -182,15 +246,6 @@ class GlvqArchive(list):
             raise ArchiveError("groups disagree on row count")
         return max(rows, default=0), np.cumsum([0] + [g.codec.cols for g in self])
 
-    def _decode_span(self, idx, codes, r0, r1, out, scratch) -> None:
-        """Rows [r0, r1) of group ``idx`` into ``out``, or ArchiveError
-        naming the group if a value overflows float32."""
-        with np.errstate(over="ignore"):  # an overflow leaves an inf, rejected below
-            span = _decode_rows(codes, self[idx].codec, r0, r1, out, scratch)
-        if not np.isfinite(span).all():
-            raise ArchiveError(
-                f"group {idx} decodes to values outside the float32 range")
-
     def decode_matrix(self) -> np.ndarray:
         """Decode every group into its column span of one row-major float32
         tensor; ArchiveError if row counts differ, or naming the first group
@@ -204,39 +259,44 @@ class GlvqArchive(list):
         scratch = np.empty(2 * max((g.codec.dim * g.codec.columns for g in self),
                                    default=0))
         for idx, (g, a, b) in enumerate(zip(self, stops, stops[1:])):
-            self._decode_span(idx, g.codes, 0, rows, out[:, a:b], scratch)
+            with np.errstate(over="ignore"):
+                _check_span(idx, _decode(g.codes, g.codec, out[:, a:b], scratch)[2])
         return out
 
     def row_blocks(self):
         """decode_matrix's tensor as consecutive row-major float32 row
         blocks of about _BLOCK_BYTES each, for write_tensor_file.  Each
         block is a view of one buffer that the next block overwrites: copy
-        a block to keep it.  When the lcm of the groups' dims fits in a
-        block, the rows per block are rounded down to a multiple of it, so
-        a block holds whole vectors of every group and _decode_rows
-        gathers only for padded groups (rows % dim != 0) and for mixed-dim
-        archives whose lcm does not fit.  Checks row counts before the
-        first block, then unpacks every group's codes once (one byte per
-        weight) and decodes each block as it is asked for, so the stream
-        holds the archive, its codes and one block.  A group that
-        overflows float32 in a block raises ArchiveError naming it; the
-        blocks before it have been given."""
+        a block to keep it.  Checks row counts before the first block.
+        Each block unpacks only its own codes, straight from the payloads
+        (_row_span), one _unpack_blocks call per width, so the stream
+        holds the payloads, one block and its codes.  Rows per block
+        round down to a multiple of the lcm of 8 and the groups' dims
+        when it fits, so that a group's rows are a view of its payload.
+        A group that overflows float32 in a block raises ArchiveError
+        naming it; the blocks before it have been given."""
         rows, stops = self._layout()
         step = min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1)))
-        lcm = math.lcm(*(g.codec.dim for g in self))
+        lcm = math.lcm(8, *(g.codec.dim for g in self))
         if lcm <= step < rows:
-            step -= step % lcm  # whole vectors of every group: no gather
+            step -= step % lcm  # whole blocks and vectors of every group
         step = max(1, step)
-        codes = [g.codes for g in self]
+        blocks = [_payload_blocks(g.payload, g.codec.bits) for g in self]
+        widths = [g.codec.bits for g in self]
         buf = np.empty((step, stops[-1]), dtype=np.float32)
-        # _decode_rows' bound for `step` rows of the widest group
-        scratch = np.empty(2 * max((g.codec.cols * (step + 2 * g.codec.dim)
+        # _decode_rows' bound for _row_span's codes of `step` rows of the widest group
+        scratch = np.empty(2 * max((g.codec.cols * (step + 2 * math.lcm(8, g.codec.dim))
                                     for g in self), default=0))
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
             block = buf[:r1 - r0]
-            for idx, (a, b) in enumerate(zip(stops, stops[1:])):
-                self._decode_span(idx, codes[idx], r0, r1, block[:, a:b], scratch)
+            spans = [_row_span(p, g.codec, r0, r1) for p, g in zip(blocks, self)]
+            codes = _unpack_spans([packed for packed, _ in spans], widths)
+            with np.errstate(over="ignore"):
+                for idx, (a, b) in enumerate(zip(stops, stops[1:])):
+                    _check_span(idx, _decode_rows(codes[idx], self[idx].codec,
+                                                  spans[idx][1], block[:, a:b], scratch))
+            del spans, codes  # no codes outlive their block
             yield block
 
     def to_bytes(self) -> bytes:

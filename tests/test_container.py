@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -354,7 +355,8 @@ def test_row_blocks_write_the_decode_matrix_bytes(tmp_path, monkeypatch, rows,
 
 def test_row_blocks_hold_whole_vectors_when_the_dims_fit(tmp_path, monkeypatch):
     # 13 rows' worth of bytes is no multiple of d = 8: the blocks round
-    # down to 8 rows, and every span decodes without the gather
+    # down to 8 rows, and every span is a view of its payload, without
+    # the gather of the blocks that cover split vectors
     rng = np.random.default_rng(15)
     records = []
     for bits, mu in ((1, 0.0), (2, 100.0), (3, 0.0)):
@@ -367,11 +369,102 @@ def test_row_blocks_hold_whole_vectors_when_the_dims_fit(tmp_path, monkeypatch):
     def no_gather(*args, **kwargs):
         raise AssertionError("a block split a lattice vector")
 
-    monkeypatch.setattr(np, "take_along_axis", no_gather)
+    monkeypatch.setattr(np, "take", no_gather)
     assert [len(b) for b in arch.row_blocks()] == [8] * 5
     path = tmp_path / "o.f32"
     assert write_tensor_file(str(path), arch.row_blocks()) == expected.shape
     assert path.read_bytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_row_span_codes_are_the_slice_of_unpack_codes(bits):
+    # widths 3, 5, 6 and 7 straddle bytes; rows that are and are not
+    # multiples of 8 and of dim, so spans that are views of the payload
+    # and spans gathered around split vectors, with and without a last
+    # block that the codes end inside
+    rng = np.random.default_rng(bits)
+    cols = 3
+    for dim in (1, 3, 5, 8, 12):
+        for rows in (1, 13, 15, 24, 40, 120):
+            codec = make_codec(rng, dim, bits, rows, cols)
+            payload = pack_codes(random_codes(rng, bits, dim, codec.columns), bits)
+            flat = unpack_codes(payload, bits, dim, codec.columns).T.ravel()
+            blocks = container._payload_blocks(payload, bits)
+            for step in (1, 5, 8, 24, rows):
+                for r0 in range(0, rows, step):
+                    r1 = min(r0 + step, rows)
+                    packed, skips = container._row_span(blocks, codec, r0, r1)
+                    got = container._unpack_spans([packed], [bits])[0]
+                    length = got.shape[1]
+                    assert got.shape[0] == cols and length % dim == 0
+                    for c in range(cols):
+                        s = skips[c % len(skips)]
+                        start = c * rows + r0 - s  # the first code of the run
+                        assert start % dim == 0 and s + r1 - r0 <= length
+                        assert np.array_equal(got[c, s:s + r1 - r0],
+                                              flat[c * rows + r0:c * rows + r1])
+                        # past the last code the run holds unused values
+                        n = min(length, flat.size - start)
+                        assert np.array_equal(got[c, :n], flat[start:start + n])
+
+
+def _archive_at_width(bits, rows):
+    # dims 1, 3, 5, 8 and 12 at one width, two dim 8 groups batched into
+    # one unpack, and a dim 5 group at the next width; the basis shrinks
+    # with the code range so that no width overflows the expansion
+    rng = np.random.default_rng(20 + bits)
+    records = []
+    for dim, cols, width, mu in ((1, 3, bits, 0.0), (3, 4, bits, 100.0),
+                                 (8, 5, bits, 0.0), (5, 3, bits % 8 + 1, 10.0),
+                                 (12, 2, bits, 255.0), (8, 2, bits, 60.0)):
+        codec = make_codec(rng, dim, width, rows, cols, mu=mu)
+        codec = GroupCodec(basis=codec.basis / 2 ** (width - 1), mu=mu, bits=width,
+                           scale=1.5, dim=dim, rows=rows, cols=cols)
+        records.append((codec, random_codes(rng, width, dim, codec.columns)))
+    return read_archive(write_archive(records))
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("rows", [29, 48])
+@pytest.mark.parametrize("block_rows", [1, 3, 8, 16, 24])
+def test_row_blocks_write_the_decode_matrix_bytes_at_every_width(monkeypatch, bits,
+                                                                 rows, block_rows):
+    # the lcm of 8 and the dims, 120, fits no block: at rows = 48 the dim
+    # 1 and 8 groups are views in 8- and 16-row blocks and the dim 3 and
+    # 12 groups in 24-row ones; every other span is gathered
+    arch = _archive_at_width(bits, rows)
+    expected = arch.decode_matrix()
+    assert expected.tobytes() == np.hstack([g.decode() for g in arch]).astype("<f4").tobytes()
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * expected.shape[1] * block_rows)
+    blocks = [b.copy() for b in arch.row_blocks()]
+    assert len(blocks) == -(-rows // block_rows) > 1
+    assert np.vstack(blocks).tobytes() == expected.tobytes()
+
+
+def test_row_blocks_hold_the_codes_of_one_block(monkeypatch, traced_peak):
+    # two dim 8 groups read as views of their payloads and two padded
+    # dim 3 groups (2048 % 3 != 0) gathered, over 43 blocks of 48 rows
+    # (lcm(8, 3) = 24 rounds 60 down): the stream holds one block's codes
+    # at a time, less than one group's at one byte per code, where
+    # holding every group's codes takes four groups' worth
+    rng = np.random.default_rng(17)
+    records = []
+    for dim, cols, bits in ((8, 24, 2), (8, 24, 3), (3, 23, 2), (3, 25, 5)):
+        codec = make_codec(rng, dim, bits, 2048, cols, mu=50.0)
+        records.append((codec, random_codes(rng, bits, dim, codec.columns)))
+    arch = read_archive(write_archive(records))
+    assert [g.codec.pad for g in arch] == [0, 0, 2, 1]
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * 96 * 60)
+
+    def drain():
+        return sum(1 for _ in arch.row_blocks())
+
+    count, peak = traced_peak(drain)
+    assert count == 43
+    group_codes = max(g.codec.dim * g.codec.columns for g in arch)
+    block = 4 * 48 * 96
+    scratch = 8 * 2 * max(g.codec.cols * (48 + 2 * math.lcm(8, g.codec.dim)) for g in arch)
+    assert peak < group_codes + block + scratch + _OVERHEAD
 
 
 def test_row_blocks_of_an_empty_archive_write_an_empty_tensor(tmp_path):
