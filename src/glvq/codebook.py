@@ -10,7 +10,8 @@ gradient steps on the basis and the companding curvature, with spectral
 normalization keeping the basis singular values in a stable range.  RTN
 and greedy coordinate descent live here as baselines.  RunConfig holds
 every setting of a run, the fit's among them; a fit without one codes
-linearly, as a run does by default.
+linearly, as a run does by default.  The decode side is _decode and
+reconstruct: nothing here reads an archive.
 
 Bad group data (not 2-D, empty, mismatched or non-finite) raises
 DataError, a ValueError, from check_inputs; bad settings, such as a dim
@@ -247,8 +248,8 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     (a float m x n array) or, when it is None, into a new column-major
     float64 one.  The first two arrays are the two halves of the first
     2 * codes.size values of ``scratch``, a flat float64 buffer that
-    decode_matrix and row_blocks pass for all their groups, or, when it
-    is None, two new arrays, which the fit keeps for its gradients.  With
+    decode_matrix and _decode_rows reuse across groups, or, when it is
+    None, two new arrays, which the fit keeps for its gradients.  With
     ``scratch`` and mu > 0 the first one holds expand(G Z), not Z: Z is
     dead after the matmul."""
     z = np.asarray(codes)
@@ -277,32 +278,6 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     order = "F" if out.flags.f_contiguous else "C"
     np.multiply(src, codec.scale, out=dst, order=order)
     return zf, v, out
-
-
-def _decode_rows(codes, codec: GroupCodec, skips, out, scratch):
-    """A run of n rows of the group's _decode, written into ``out``, a
-    float n x cols array, and returned; ``scratch`` as for _decode.
-    ``codes`` is a (cols, L) int8 array, L a multiple of dim, whose row c
-    holds L consecutive flat codes of the group from the start of a
-    latent vector on; out's column c gets rows s .. s + n of their
-    decode, s = skips[c % len(skips)] and s + n <= L.  So with L == n no
-    row is skipped and the codes decode straight into ``out`` as a group
-    of their own; otherwise they decode into a new L x cols array of
-    out's dtype, and each skip's columns, a strided slice, are copied
-    from it.  2 * codes.size scratch values suffice."""
-    cols, length = codes.shape
-    n = out.shape[0]
-    # row c of the codes, cut into dim-long vectors, is column c of a
-    # group of `length` rows
-    latent = codes.reshape(-1, codec.dim).T
-    if length == n:
-        return _decode(latent, replace(codec, rows=n), out, scratch)[2]
-    part = _decode(latent, replace(codec, rows=length),
-                   np.empty((cols, length), out.dtype).T, scratch)[2]
-    period = len(skips)
-    for c, s in enumerate(skips):
-        out[:, c::period] = part[s:s + n, c::period]
-    return out
 
 
 def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
@@ -480,6 +455,7 @@ def _line_search(step, size: _StepSize, loss, propose):
                 size.eta = min(size.eta * 2.0, size.eta_max)
                 size.streak = 0
             return found
+        del found  # its decode terms, before the next proposal's
         size.eta *= 0.5
         size.streak = 0
     return None
@@ -511,6 +487,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
     codes = quantize_columns(latent, codec)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
     g_b, g_m = _hessian_grads(codec, terms, LAM)
+    del terms  # three group copies that no proposal needs
     report.loss_history.append(loss)
 
     def propose(cand_and_latent):
@@ -545,6 +522,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
             if found is not None:
                 loss, (codec, latent, codes, terms) = found
                 g_b, g_m = _hessian_grads(codec, terms, LAM)
+                del found, terms
                 report.loss_history.append(loss)
                 accepted_any = True
         # without an accept every search has stalled, since a line search

@@ -5,9 +5,10 @@ JSON sidecar manifest: {"shape": [rows, cols], "dtype": "f32",
 "layout": "row-major"}.  read_tensor_file returns the float32 array as
 stored, so a layer in memory takes 4 bytes per weight until a
 computation converts it to float64.  write_tensor_file writes an array
-or a stream of row blocks, such as GlvqArchive.row_blocks, the decoded
-tensor of an archive about 4 MiB of rows at a time: a decode to a file
-need not hold the tensor.
+or a stream of row blocks, such as GlvqArchive.row_blocks, which decodes
+an archive about 4 MiB of rows at a time, each group's run of rows from
+its packed codes (_row_span, _decode_rows): a decode to a file need not
+hold the tensor.
 
 Archive layout (".glvq", all multi-byte integers little-endian):
 
@@ -54,13 +55,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import companding
-from .codebook import (DataError, GroupCodec, _check_count, _decode, _decode_rows,
-                       code_range, reconstruct)
+from .codebook import (DataError, GroupCodec, _check_count, _decode, code_range,
+                       reconstruct)
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -173,9 +174,9 @@ def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarra
 
 def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
     """The packed codes rows [r0, r1) of a group decode from, a (cols,
-    L/8, bits) array, and the skips _decode_rows places them by.  Row c
-    runs from flat code c * rows + r0 - s, s its skip back to a multiple
-    of lcm(8, dim), a whole block and vector; L, a multiple of that lcm,
+    L/8, bits) array, and its skips.  Row c runs from flat code c * rows
+    + r0 - s, s = skips[c % len(skips)] its skip back to a multiple of
+    lcm(8, dim), a whole block and vector; L, a multiple of that lcm,
     covers every skip plus r1 - r0.  ``blocks`` is _payload_blocks'."""
     rows, cols = codec.rows, codec.cols
     whole, tail = blocks
@@ -194,6 +195,26 @@ def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
         packed[idx >= len(whole)] = tail
     # skips repeat every grid / gcd(rows, grid) columns
     return packed, skip[:grid // math.gcd(rows, grid)]
+
+
+def _decode_rows(codes, codec: GroupCodec, skips, out, scratch):
+    """The rows [r0, r1) of _row_span's span, unpacked to (cols, L)
+    ``codes``, decoded by its ``skips`` into ``out``, a float (r1 - r0) x
+    cols array, and returned.  Unless L == r1 - r0, the span decodes into
+    a new L x cols part, and one strided slice per skip copies from it."""
+    cols, length = codes.shape
+    n = out.shape[0]
+    # row c of the codes, cut into dim-long vectors, is column c of a
+    # group of `length` rows
+    latent = codes.reshape(-1, codec.dim).T
+    if length == n:
+        return _decode(latent, replace(codec, rows=n), out, scratch)[2]
+    part = _decode(latent, replace(codec, rows=length),
+                   np.empty((cols, length), out.dtype).T, scratch)[2]
+    period = len(skips)
+    for c, s in enumerate(skips):
+        out[:, c::period] = part[s:s + n, c::period]
+    return out
 
 
 def _unpack_spans(packed, widths):
@@ -284,7 +305,7 @@ class GlvqArchive(list):
         blocks = [_payload_blocks(g.payload, g.codec.bits) for g in self]
         widths = [g.codec.bits for g in self]
         buf = np.empty((step, stops[-1]), dtype=np.float32)
-        # _decode_rows' bound for _row_span's codes of `step` rows of the widest group
+        # 2 values per code of a span: at most step + 2 lcm(8, dim) per column
         scratch = np.empty(2 * max((g.codec.cols * (step + 2 * math.lcm(8, g.codec.dim))
                                     for g in self), default=0))
         for r0 in range(0, rows, step):
