@@ -10,8 +10,8 @@ gradient steps on the basis and the companding curvature, with spectral
 normalization keeping the basis singular values in a stable range.  RTN
 and greedy coordinate descent live here as baselines.  RunConfig holds
 every setting of a run, the fit's among them; a fit without one codes
-linearly, as a run does by default.  The decode side is _decode and
-reconstruct: nothing here reads an archive.
+linearly, as a run does by default.  reconstruct is the one decode:
+nothing here reads an archive.
 
 Bad group data (not 2-D, empty, mismatched or non-finite) raises
 DataError, a ValueError, from check_inputs; bad settings, such as a dim
@@ -242,25 +242,21 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
     return companding.compand(lat, codec.mu)
 
 
-def _decode(codes, codec: GroupCodec, out=None, scratch=None):
-    """The one code-to-weight map.  Returns (Z as float, G Z, W_hat) with
-    W_hat = scale * expand(G Z) as an m x n matrix, written into ``out``
-    (a float m x n array) or, when it is None, into a new column-major
-    float64 one.  The first two arrays are the two halves of the first
-    2 * codes.size values of ``scratch``, a flat float64 buffer that
-    decode_matrix and _decode_rows reuse across groups, or, when it is
-    None, two new arrays, which the fit keeps for its gradients.  With
-    ``scratch`` and mu > 0 the first one holds expand(G Z), not Z: Z is
-    dead after the matmul."""
+def reconstruct(codes, codec: GroupCodec, out=None, scratch=None) -> np.ndarray:
+    """The one code-to-weight map: returns W_hat = scale * expand(G Z) as
+    an m x n matrix, written into ``out`` (a float m x n array) or, when
+    it is None, into a new column-major float64 one.  Z as float and G Z
+    take the two halves of the first 2 * codes.size values of
+    ``scratch``, a flat float64 buffer that callers reuse, or of a new
+    one; at mu > 0 expand(G Z) overwrites Z's half."""
     z = np.asarray(codes)
     if scratch is None:
-        zf, v = np.empty(z.shape), np.empty(z.shape)
-    else:
-        zf, v = scratch[:2 * z.size].reshape((2,) + z.shape)
+        scratch = np.empty(2 * z.size)
+    zf, v = scratch[:2 * z.size].reshape((2,) + z.shape)
     zf[...] = z
     np.matmul(codec.basis, zf, out=v)
-    # into Z's half, dead after the matmul; v itself when mu == 0
-    y = companding.expand(v, codec.mu, None if scratch is None else zf)
+    # linear groups place G Z itself; Z is dead after the matmul
+    y = companding.expand(v, codec.mu, zf) if codec.mu else v
     rows, cols, dim = codec.rows, codec.cols, codec.dim
     if out is None:
         out = np.empty((cols, rows)).T
@@ -277,12 +273,7 @@ def _decode(codes, codec: GroupCodec, out=None, scratch=None):
     # a row-major tensor, or a column of a new column-major array
     order = "F" if out.flags.f_contiguous else "C"
     np.multiply(src, codec.scale, out=dst, order=order)
-    return zf, v, out
-
-
-def reconstruct(codes, codec: GroupCodec) -> np.ndarray:
-    """Decode codes to a new float64 m x n weight matrix: scale * expand(G Z)."""
-    return _decode(codes, codec)[2]
+    return out
 
 
 def group_loss(weights, codec: GroupCodec, codes, calib, basis_init, lam: float = LAM) -> float:
@@ -303,7 +294,11 @@ def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
     Costs O(m n^2) whatever the calibration length.  Also returns the
     terms (zf, v, p, dg) that _hessian_grads reuses, so a rejected
     proposal pays for its loss alone."""
-    zf, v, w_hat = _decode(codes, codec)
+    pair = np.empty((2,) + np.shape(codes))
+    w_hat = reconstruct(codes, codec, scratch=pair.ravel())
+    zf, v = pair  # Z as float and G Z
+    if codec.mu:  # expand(G Z) went where Z was
+        zf[...] = codes
     dw = w_hat - weights
     p = dw @ hess
     dg = codec.basis - basis_init

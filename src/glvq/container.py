@@ -7,8 +7,8 @@ stored, so a layer in memory takes 4 bytes per weight until a
 computation converts it to float64.  write_tensor_file writes an array
 or a stream of row blocks, such as GlvqArchive.row_blocks, which decodes
 an archive about 4 MiB of rows at a time, each group's run of rows from
-its packed codes (_row_span, _decode_rows): a decode to a file need not
-hold the tensor.
+its packed codes: a decode to a file need not hold the tensor.  Every
+decode is codebook.reconstruct.
 
 Archive layout (".glvq", all multi-byte integers little-endian):
 
@@ -60,8 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import companding
-from .codebook import (DataError, GroupCodec, _check_count, _decode, code_range,
-                       reconstruct)
+from .codebook import DataError, GroupCodec, _check_count, code_range, reconstruct
 
 MAGIC = b"GLVQ"
 VERSION = 1
@@ -198,19 +197,19 @@ def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
 
 
 def _decode_rows(codes, codec: GroupCodec, skips, out, scratch):
-    """The rows [r0, r1) of _row_span's span, unpacked to (cols, L)
-    ``codes``, decoded by its ``skips`` into ``out``, a float (r1 - r0) x
-    cols array, and returned.  Unless L == r1 - r0, the span decodes into
-    a new L x cols part, and one strided slice per skip copies from it."""
+    """reconstruct of the rows [r0, r1) of _row_span's span, unpacked to
+    (cols, L) ``codes``, by its ``skips`` into ``out``, a float (r1 - r0)
+    x cols array, returned.  Unless L == r1 - r0, the span decodes into a
+    new L x cols part, and one strided slice per skip copies from it."""
     cols, length = codes.shape
     n = out.shape[0]
     # row c of the codes, cut into dim-long vectors, is column c of a
     # group of `length` rows
     latent = codes.reshape(-1, codec.dim).T
     if length == n:
-        return _decode(latent, replace(codec, rows=n), out, scratch)[2]
-    part = _decode(latent, replace(codec, rows=length),
-                   np.empty((cols, length), out.dtype).T, scratch)[2]
+        return reconstruct(latent, replace(codec, rows=n), out, scratch)
+    part = reconstruct(latent, replace(codec, rows=length),
+                       np.empty((cols, length), out.dtype).T, scratch)
     period = len(skips)
     for c, s in enumerate(skips):
         out[:, c::period] = part[s:s + n, c::period]
@@ -268,20 +267,20 @@ class GlvqArchive(list):
         return max(rows, default=0), np.cumsum([0] + [g.codec.cols for g in self])
 
     def decode_matrix(self) -> np.ndarray:
-        """Decode every group into its column span of one row-major float32
-        tensor; ArchiveError if row counts differ, or naming the first group
-        with a value that overflows it.  The groups share one float64
-        buffer for Z as float and G Z, sized for the largest, and codes
-        are unpacked one group at a time, so beyond the output the decode
-        holds one group's temporaries.  row_blocks gives the same bytes
-        without holding the output."""
+        """reconstruct every group into its column span of one row-major
+        float32 tensor; ArchiveError if row counts differ, or naming the
+        first group with a value that overflows it.  The groups share one
+        scratch buffer, sized for the largest, and codes are unpacked one
+        group at a time, so beyond the output the decode holds one group's
+        temporaries.  row_blocks gives the same bytes without holding the
+        output."""
         rows, stops = self._layout()
         out = np.empty((rows, stops[-1]), dtype=np.float32)
         scratch = np.empty(2 * max((g.codec.dim * g.codec.columns for g in self),
                                    default=0))
         for idx, (g, a, b) in enumerate(zip(self, stops, stops[1:])):
             with np.errstate(over="ignore"):
-                _check_span(idx, _decode(g.codes, g.codec, out[:, a:b], scratch)[2])
+                _check_span(idx, reconstruct(g.codes, g.codec, out[:, a:b], scratch))
         return out
 
     def row_blocks(self):
@@ -290,12 +289,12 @@ class GlvqArchive(list):
         block is a view of one buffer that the next block overwrites: copy
         a block to keep it.  Checks row counts before the first block.
         Each block unpacks only its own codes, straight from the payloads
-        (_row_span), one _unpack_blocks call per width, so the stream
-        holds the payloads, one block and its codes.  Rows per block
-        round down to a multiple of the lcm of 8 and the groups' dims
-        when it fits, so that a group's rows are a view of its payload.
-        A group that overflows float32 in a block raises ArchiveError
-        naming it; the blocks before it have been given."""
+        (_row_span, one _unpack_blocks call per width), for _decode_rows,
+        so the stream holds the payloads, one block and its codes.  Rows
+        per block round down to a multiple of the lcm of 8 and the groups'
+        dims when it fits, so that a group's rows are a view of its
+        payload.  A group that overflows float32 in a block raises
+        ArchiveError naming it; the blocks before it have been given."""
         rows, stops = self._layout()
         step = min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1)))
         lcm = math.lcm(8, *(g.codec.dim for g in self))
@@ -305,7 +304,7 @@ class GlvqArchive(list):
         blocks = [_payload_blocks(g.payload, g.codec.bits) for g in self]
         widths = [g.codec.bits for g in self]
         buf = np.empty((step, stops[-1]), dtype=np.float32)
-        # 2 values per code of a span: at most step + 2 lcm(8, dim) per column
+        # reconstruct's scratch: 2 values a code, step + 2 lcm(8, dim) codes a column
         scratch = np.empty(2 * max((g.codec.cols * (step + 2 * math.lcm(8, g.codec.dim))
                                     for g in self), default=0))
         for r0 in range(0, rows, step):

@@ -141,18 +141,49 @@ def test_reconstruct_inverts_quantize_on_representable_input():
 
 @pytest.mark.parametrize("mu", (0.0, 50.0))
 def test_decode_leaves_g_z_as_computed(mu):
-    # at mu = 0 expand returns G Z itself, so the scaling that follows must
-    # not run in place: the fit's gradients reuse the returned G Z
+    # at mu = 0 G Z itself is placed, so the scaling must not run in
+    # place: the fit's gradients read G Z from the second half of scratch
     rng = np.random.default_rng(3)
     codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
                        mu, 3, 2.5, 8, 6)
     z = rng.integers(-4, 4, size=(4, 12))
     expected = reconstruct(z, codec)
+    g_z = (codec.basis @ z.astype(float)).tobytes()
     for out in (None, np.empty((8, 6), dtype=np.float32)):
-        zf, v, w_hat = codebook._decode(z, codec, out)
-        assert np.array_equal(zf, z)
-        assert v.tobytes() == (codec.basis @ zf).tobytes()
+        scratch = np.full(2 * z.size + 3, 7.0)  # callers may pass a longer buffer
+        w_hat = reconstruct(z, codec, out, scratch)
+        assert w_hat is out or out is None
+        assert scratch[z.size:2 * z.size].tobytes() == g_z
+        assert (scratch[2 * z.size:] == 7.0).all()
         assert w_hat.tobytes() == expected.astype(w_hat.dtype).tobytes()
+
+
+def test_linear_groups_never_expand(monkeypatch):
+    # a linear group places G Z itself: neither the decodes nor a linear
+    # fit reach companding.expand, which a companded group still calls
+    rng = np.random.default_rng(31)
+    records = []
+    for mu in (0.0, 50.0):
+        codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
+                           mu, 2, 1.5, 16, 5)
+        records.append((codec, rng.integers(-2, 2, size=(4, codec.columns))))
+    (linear, z), (companded, zc) = records
+    arch = container.read_archive(container.write_archive(records[:1]))
+    w = rng.standard_t(4, size=(16, 32))
+    x = rng.standard_normal((32, 24))
+
+    def raising(*args, **kwargs):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(companding, "expand", raising)
+    reconstruct(z, linear)
+    reconstruct(z, linear, scratch=np.empty(2 * z.size))
+    arch.decode_matrix()
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * 5 * 8)
+    assert len(list(arch.row_blocks())) == 2
+    assert fit_group(w, x, 4, 2, RunConfig(max_iters=5))[2].proposals > 0
+    with pytest.raises(AssertionError, match="expand called"):
+        reconstruct(zc, companded)
 
 
 @pytest.mark.parametrize("rows", (8, 7))

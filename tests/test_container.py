@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from glvq import container
-from glvq.codebook import GroupCodec, _decode, reconstruct
+from glvq.codebook import GroupCodec, reconstruct
 from glvq.container import (ArchiveError, BadMagicError,
                             TruncatedArchiveError, TruncatedPayloadError,
                             UnsupportedVersionError, overhead_report,
@@ -275,7 +275,7 @@ def test_decode_matrix_places_whole_blocks_as_the_group_decode():
     # a group decoded into a span of a larger array writes that span only
     span = np.full((12, 9), 7.0, dtype=np.float32)
     g = arch[1]
-    _decode(g.codes, g.codec, span[:, 3:5])
+    reconstruct(g.codes, g.codec, span[:, 3:5])
     assert span[:, 3:5].tobytes() == expected[:, 3:5].tobytes()
     assert (span[:, :3] == 7.0).all() and (span[:, 5:] == 7.0).all()
 
@@ -351,6 +351,27 @@ def test_row_blocks_write_the_decode_matrix_bytes(tmp_path, monkeypatch, rows,
     assert write_tensor_file(str(path), arch.row_blocks()) == expected.shape
     assert path.read_bytes() == np.vstack(blocks).tobytes() == expected.tobytes()
     assert json.loads((tmp_path / "o.json").read_text())["shape"] == list(expected.shape)
+
+
+def test_every_span_decodes_through_reconstruct(monkeypatch):
+    # decode_matrix decodes each group once, and row_blocks each group
+    # once per block, through codebook.reconstruct
+    arch = _mixed_archive(24)
+    expected = arch.decode_matrix()
+    calls = []
+    real = container.reconstruct
+
+    def counted(codes, codec, *args):
+        calls.append(codec.dim)
+        return real(codes, codec, *args)
+
+    monkeypatch.setattr(container, "reconstruct", counted)
+    assert arch.decode_matrix().tobytes() == expected.tobytes()
+    assert calls == [g.codec.dim for g in arch]
+    calls.clear()
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4 * expected.shape[1] * 8)
+    assert np.vstack([b.copy() for b in arch.row_blocks()]).tobytes() == expected.tobytes()
+    assert calls == [g.codec.dim for g in arch] * 3
 
 
 def test_row_blocks_hold_whole_vectors_when_the_dims_fit(tmp_path, monkeypatch):

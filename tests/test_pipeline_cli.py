@@ -276,6 +276,24 @@ def test_cli_output_same_on_one_cpu(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_runs_under_python_oo(tmp_path):
+    # `python -OO` strips docstrings and asserts: quantize, dequantize and
+    # eval still exit 0, and write what a plain run writes
+    w, x = synthetic.make_layer(7, n_groups=2, group_cols=16, calib_T=16)
+    wpath, xpath = write_pair(tmp_path, "w", w), write_pair(tmp_path, "x", x)
+    outputs = []
+    for name, flags in (("plain", []), ("oo", ["-OO"])):
+        arch, dq = tmp_path / f"{name}.glvq", tmp_path / f"{name}.f32"
+        for argv in (["quantize", wpath, xpath, "--out", arch, "--dim", 4,
+                      "--group-width", 16, "--max-iters", 10],
+                     ["dequantize", arch, "--out", dq],
+                     ["eval", wpath, arch, xpath]):
+            subprocess.run([sys.executable, *flags, "-m", "glvq.cli", *map(str, argv)],
+                           env=CHILD_ENV, check=True, capture_output=True, timeout=120)
+        outputs.append((arch.read_bytes(), dq.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 _SLOW_FITS = r"""
 import os, time
 from glvq import pipeline, synthetic
