@@ -7,7 +7,11 @@ a layer as read_tensor_file returns it: each function converts it to
 float64 itself.  Codes are int8, 1 byte per weight.  The alternating
 optimizer refreshes the codes, then takes monotone (step-halved)
 gradient steps on the basis and the companding curvature, with spectral
-normalization keeping the basis singular values in a stable range.  RTN
+normalization keeping the basis singular values in a stable range.  A
+proposal's code refresh reuses the one inverse of a basis that spectral
+normalization has shown to be full rank, and its loss decodes W_hat into
+a new row-major array and takes dW = W_hat - W there in place.  A linear
+fit (mu = 0) calls no companding function.  RTN
 and greedy coordinate descent live here as baselines.  RunConfig holds
 every setting of a run, the fit's among them; a fit without one codes
 linearly, as a run does by default.  reconstruct is the one decode:
@@ -200,11 +204,13 @@ def unreshape_group(latent, rows: int, cols: int) -> np.ndarray:
     return flat[:rows * cols].reshape((rows, cols), order="F")
 
 
-def quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
-    """Babai-round every latent column, then clamp into the code range.
-    Returns int8 codes, 1 byte per weight, which hold every width up to
-    MAX_BITS, as unpack_codes does on the decode side."""
-    z = babai_round(codec.basis, latent)
+def quantize_columns(latent, codec: GroupCodec, inverse=None) -> np.ndarray:
+    """Babai-round every latent column, then clamp into the code range in
+    place.  Returns int8 codes, 1 byte per weight, which hold every width
+    up to MAX_BITS, as unpack_codes does on the decode side.  The fit
+    passes ``inverse``, np.linalg.inv(codec.basis) of a basis it knows to
+    be full rank, so that babai_round neither checks nor inverts it."""
+    z = babai_round(codec.basis, latent, inverse, cast=False)
     lo, hi = code_range(codec.bits)
     np.clip(z, lo, hi, out=z)
     return z.astype(np.int8)
@@ -236,10 +242,11 @@ def gcd_quantize_columns(latent, codec: GroupCodec) -> np.ndarray:
 
 
 def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
-    """The one weight-to-latent map: reshape, divide by scale, compand."""
+    """The one weight-to-latent map: reshape, divide by scale, compand.
+    A linear group (mu = 0) skips companding, the identity there."""
     lat, _ = reshape_group(weights, codec.dim)
     lat /= codec.scale
-    return companding.compand(lat, codec.mu)
+    return companding.compand(lat, codec.mu) if codec.mu else lat
 
 
 def reconstruct(codes, codec: GroupCodec, out=None, scratch=None) -> np.ndarray:
@@ -291,15 +298,19 @@ def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
     """group_loss evaluated through H = X X^T:
     tr(dW H dW^T) + lam ||G - G_init||_F^2 with dW = W_hat - W.
 
+    W_hat is decoded into a new row-major array and dW is taken there in
+    place, so a proposal holds one m x n array for both; the fit passes W
+    C-contiguous too, so the subtraction reads both arrays row by row.
     Costs O(m n^2) whatever the calibration length.  Also returns the
     terms (zf, v, p, dg) that _hessian_grads reuses, so a rejected
     proposal pays for its loss alone."""
     pair = np.empty((2,) + np.shape(codes))
-    w_hat = reconstruct(codes, codec, scratch=pair.ravel())
+    dw = reconstruct(codes, codec, out=np.empty((codec.rows, codec.cols)),
+                     scratch=pair.ravel())
     zf, v = pair  # Z as float and G Z
     if codec.mu:  # expand(G Z) went where Z was
         zf[...] = codes
-    dw = w_hat - weights
+    dw -= weights
     p = dw @ hess
     dg = codec.basis - basis_init
     loss = float((dw * p).sum() + lam * (dg * dg).sum())
@@ -312,9 +323,13 @@ def _hessian_grads(codec, terms, lam):
     zf, v, p, dg = terms
     g_lat, _ = reshape_group(p, codec.dim)  # pad positions land on zeros
     g_lat *= 2.0
-    didy, didmu = companding.expand_grad(v, codec.mu)
-    g_v = g_lat * (codec.scale * didy)
-    grad_mu = float((g_lat * (codec.scale * didmu)).sum())
+    if codec.mu:
+        didy, didmu = companding.expand_grad(v, codec.mu)
+        g_v = g_lat * (codec.scale * didy)
+        grad_mu = float((g_lat * (codec.scale * didmu)).sum())
+    else:  # expand is the identity: dF_inv/dy = 1 and dF_inv/dmu = 0
+        g_lat *= codec.scale
+        g_v, grad_mu = g_lat, 0.0
     return g_v @ zf.T + 2.0 * lam * dg, grad_mu
 
 
@@ -469,7 +484,9 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
 
     The objective is evaluated through H = X X^T, built once, so a
     proposal's cost does not depend on the calibration length; gradients
-    are computed only for accepted proposals.
+    are computed only for accepted proposals.  A basis proposal takes one
+    SVD (spectral_normalize) and one inverse, which its code refresh
+    reuses; a mu proposal keeps the basis and its inverse.
     """
     cfg = config or RunConfig()
     w, x = check_inputs(weights, calib)
@@ -477,29 +494,34 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
     codec, latent = _init_group(w, dim, bits, cfg)
     basis_init = codec.basis.copy()
     hess = x @ x.T
+    w = np.ascontiguousarray(w)  # a copy only of a strided column slice
     report = FitReport()
 
-    codes = quantize_columns(latent, codec)
+    # the init basis is spectrally normalized, or the scaled identity of an
+    # all-zero group: full rank either way
+    inverse = np.linalg.inv(codec.basis)
+    codes = quantize_columns(latent, codec, inverse)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
     g_b, g_m = _hessian_grads(codec, terms, LAM)
     del terms  # three group copies that no proposal needs
     report.loss_history.append(loss)
 
-    def propose(cand_and_latent):
+    def propose(candidate):
         report.proposals += 1
-        cand, cand_lat = cand_and_latent
-        cand_codes = quantize_columns(cand_lat, cand)
+        cand, cand_lat, cand_inv = candidate
+        cand_codes = quantize_columns(cand_lat, cand, cand_inv)
         cand_loss, cand_terms = _hessian_loss(w, hess, cand, cand_codes,
                                               basis_init, LAM)
-        return cand_loss, (cand, cand_lat, cand_codes, cand_terms)
+        return cand_loss, (cand, cand_lat, cand_inv, cand_codes, cand_terms)
 
     def basis_step(eta):
-        return replace(codec, basis=spectral_normalize(codec.basis - eta * g_b)), latent
+        basis = spectral_normalize(codec.basis - eta * g_b)
+        return replace(codec, basis=basis), latent, np.linalg.inv(basis)
 
     def mu_step(eta):
         cand = replace(codec, mu=float(np.clip(
             codec.mu - eta * g_m, companding.MU_MIN, companding.MU_MAX)))
-        return cand, _latent_of(w, cand)
+        return cand, _latent_of(w, cand), inverse
 
     # (step, step size) per learned parameter, searched in this order
     searches = []
@@ -515,7 +537,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
         for step, size in searches:
             found = _line_search(step, size, loss, propose)
             if found is not None:
-                loss, (codec, latent, codes, terms) = found
+                loss, (codec, latent, inverse, codes, terms) = found
                 g_b, g_m = _hessian_grads(codec, terms, LAM)
                 del found, terms
                 report.loss_history.append(loss)

@@ -102,7 +102,7 @@ def lll_reduce(basis, delta: float = 0.75) -> np.ndarray:
     return b
 
 
-def babai_round(basis, target) -> np.ndarray:
+def babai_round(basis, target, inverse=None, cast=True) -> np.ndarray:
     """Babai rounding: codes = floor(G^-1 t + 0.5) elementwise.
 
     Ties (exact half-integer coordinates) round toward +inf.  ``target``
@@ -117,15 +117,29 @@ def babai_round(basis, target) -> np.ndarray:
     singular values in [0.01, 10], so cond(G) <= 1e3: a code can differ
     from the solve form only where a coordinate lies within ~1e-13
     (relative) of a half-integer.
+
+    A caller holding ``inverse`` = np.linalg.inv(G) may pass it; then G
+    is neither checked nor inverted, nor the target checked for
+    finiteness.  Do so only for a finite float target and a G that
+    spectral normalization returned (or another G known to be full
+    rank): its SVD clamps the singular values into [0.01, 10], so
+    cond(G) <= 1e3 and check_basis, which asks for
+    sigma_min > 1e-12 sigma_max, cannot fire.
+
+    ``cast=False`` returns the rounded float64 array itself, for a caller
+    that clips it in place before a narrower cast (quantize_columns'
+    int8), so no int64 copy is made.
     """
-    b = check_basis(basis)
-    t = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("target has non-finite entries")
-    x = np.linalg.inv(b) @ t
+    if inverse is None:
+        b = check_basis(basis)
+        target = np.asarray(target, dtype=float)
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target has non-finite entries")
+        inverse = np.linalg.inv(b)
+    x = inverse @ target
     x += 0.5
     np.floor(x, out=x)
-    return x.astype(np.int64)
+    return x.astype(np.int64) if cast else x
 
 
 def decode(basis, codes) -> np.ndarray:

@@ -147,6 +147,19 @@ def test_babai_matrix_targets():
     assert np.array_equal(codes[:, 1], babai_round(g, targets[:, 1]))
 
 
+def test_babai_given_inverse_and_float_result_match_the_checked_path():
+    # a caller's inverse skips the check and the inversion, not a code;
+    # cast=False hands back the rounded float array, integer-valued
+    rng = np.random.default_rng(3)
+    g = spectral_normalize(rng.standard_normal((4, 4)))
+    t = rng.standard_normal((4, 64))
+    want = babai_round(g, t)
+    given = babai_round(g, t, np.linalg.inv(g))
+    as_float = babai_round(g, t, cast=False)
+    assert given.dtype == np.int64 and np.array_equal(given, want)
+    assert as_float.dtype == np.float64 and np.array_equal(as_float, want)
+
+
 def test_exact_cvp_examples():
     assert np.array_equal(exact_cvp(np.eye(2), [0.4, -0.6], 2), [0, -1])
     g = np.array([[1.0, 0.9], [0.0, 1.0]])
