@@ -75,9 +75,8 @@ def balanced_bits(order: np.ndarray, n: int, k: int) -> np.ndarray:
     if not 0 <= k <= g // 2:
         raise ValueError(f"k={k} out of range for {g} groups")
     bits = np.full(g, n, dtype=np.int64)
-    if k:
-        bits[order[:k]] = n + 1
-        bits[order[g - k:]] = n - 1
+    bits[order[:k]] = n + 1
+    bits[order[g - k:]] = n - 1
     return bits
 
 

@@ -26,6 +26,7 @@ Codes are stored column-major as unsigned offsets u = z - lo, with
 LSB-first within each byte; the final partial byte is zero padded.  So 8
 consecutive codes fill exactly `bits` bytes, and pack_codes and
 unpack_codes work by shifts on those whole bytes, 8 codes at a time.
+The reader zero-fills a payload's last block once, mirroring the writer.
 Codes are int8 on both sides, which holds every width code_range
 accepts: the encoder (codebook.quantize_columns) returns int8 codes and
 so does unpack_codes; pack_codes takes any integer dtype.  Side
@@ -107,8 +108,6 @@ def pack_codes(codes, bits: int) -> bytes:
     if z.dtype.kind not in "iu":  # integral floats or bools: cast exactly first
         z = z.astype(np.int64)
     n = z.size
-    if n == 0:
-        return b""
     # offsets u = z - lo in column-major order, then zeros up to a
     # whole number of 8-code blocks; the cast wraps mod 256, so adding the
     # offset in uint8 gives u exactly whatever the integer dtype of z
@@ -126,16 +125,13 @@ def pack_codes(codes, bits: int) -> bytes:
     return out.tobytes()[: (n * bits + 7) // 8]
 
 
-def _payload_blocks(payload, bits: int):
-    """A payload's whole 8-code blocks as a (k, bits) uint8 view, and its
-    last block zero-filled if the codes end inside it, else None."""
+def _payload_blocks(payload, bits: int) -> np.ndarray:
+    """A payload as one (k, bits) uint8 array of 8-code blocks, the last
+    zero-filled past its end: a view of it if bits divides its length."""
     raw = np.frombuffer(payload, dtype=np.uint8)
-    k = raw.size // bits
-    tail = None
-    if raw.size > k * bits:
-        tail = np.zeros(bits, np.uint8)
-        tail[:raw.size - k * bits] = raw[k * bits:]
-    return raw[:k * bits].reshape(k, bits), tail
+    if raw.size % bits:
+        raw = np.pad(raw, (0, -raw.size % bits))
+    return raw.reshape(-1, bits)
 
 
 def _unpack_blocks(raw, bits: int) -> np.ndarray:
@@ -158,17 +154,15 @@ def _unpack_blocks(raw, bits: int) -> np.ndarray:
 
 def unpack_codes(payload: bytes, bits: int, dim: int, columns: int) -> np.ndarray:
     """Exact inverse of pack_codes; returns a dim x columns int8 matrix,
-    _unpack_blocks of the whole payload."""
+    _unpack_blocks of the payload's _payload_blocks array."""
     code_range(bits)
     n = dim * columns
     need = (n * bits + 7) // 8
     if len(payload) != need:
         raise TruncatedPayloadError(
             f"payload is {len(payload)} bytes, expected {need}")
-    whole, tail = _payload_blocks(payload, bits)
-    if tail is not None:
-        whole = np.concatenate([whole, tail[None]])
-    return _unpack_blocks(whole, bits).ravel()[:n].reshape(columns, dim).T
+    codes = _unpack_blocks(_payload_blocks(payload, bits), bits).ravel()[:n]
+    return codes.reshape(columns, dim).T
 
 
 def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
@@ -176,22 +170,19 @@ def _row_span(blocks, codec: GroupCodec, r0: int, r1: int):
     L/8, bits) array, and its skips.  Row c runs from flat code c * rows
     + r0 - s, s = skips[c % len(skips)] its skip back to a multiple of
     lcm(8, dim), a whole block and vector; L, a multiple of that lcm,
-    covers every skip plus r1 - r0.  ``blocks`` is _payload_blocks'."""
+    covers every skip plus r1 - r0.  ``blocks`` is a _payload_blocks array."""
     rows, cols = codec.rows, codec.cols
-    whole, tail = blocks
     grid = math.lcm(8, codec.dim)
     if rows % grid == 0 and r0 % grid == 0 and r1 % grid == 0:
         # rows [r0, r1) of column c are flat codes c * rows + r0 ..
         # c * rows + r1: one run of whole blocks per column, a strided view
-        return whole.reshape(cols, rows // 8, -1)[:, r0 // 8:r1 // 8], (0,)
+        return blocks.reshape(cols, rows // 8, -1)[:, r0 // 8:r1 // 8], (0,)
     first = np.arange(cols) * rows + r0
     skip = first % grid
     length = -(-(int(skip.max()) + r1 - r0) // grid) * grid
     idx = (first - skip)[:, None] // 8 + np.arange(length // 8)
     # a block past the payload's last is clipped to it: its codes go unused
-    packed = np.take(whole if len(whole) else tail[None], idx, axis=0, mode="clip")
-    if tail is not None:
-        packed[idx >= len(whole)] = tail
+    packed = np.take(blocks, idx, axis=0, mode="clip")
     # skips repeat every grid / gcd(rows, grid) columns
     return packed, skip[:grid // math.gcd(rows, grid)]
 
@@ -290,11 +281,12 @@ class GlvqArchive(list):
         a block to keep it.  Checks row counts before the first block.
         Each block unpacks only its own codes, straight from the payloads
         (_row_span, one _unpack_blocks call per width), for _decode_rows,
-        so the stream holds the payloads, one block and its codes.  Rows
-        per block round down to a multiple of the lcm of 8 and the groups'
-        dims when it fits, so that a group's rows are a view of its
-        payload.  A group that overflows float32 in a block raises
-        ArchiveError naming it; the blocks before it have been given."""
+        so the stream holds the payloads (padded copies of those that end
+        inside a block), one block and its codes.  Rows per block round
+        down to a multiple of the lcm of 8 and the groups' dims when it
+        fits, so that a group's rows are a view of its payload.  A group
+        that overflows float32 in a block raises ArchiveError naming it;
+        the blocks before it have been given."""
         rows, stops = self._layout()
         step = min(rows, _BLOCK_BYTES // (4 * max(stops[-1], 1)))
         lcm = math.lcm(8, *(g.codec.dim for g in self))

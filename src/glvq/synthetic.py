@@ -78,8 +78,6 @@ def make_layer(seed: int, *, source: str = "student_t", rows: int = SUITE_ROWS,
 
 def sign_test_pvalue(wins: int, n: int) -> float:
     """One-sided sign test: P[X >= wins] for X ~ Binomial(n, 1/2)."""
-    if n == 0:
-        return 1.0
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0**n
 
 

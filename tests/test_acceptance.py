@@ -210,6 +210,13 @@ def test_criterion_6_optimizer_contract():
 
 # -------------------------------------------------------------- criterion 7
 
+def test_sign_test_pvalue_at_its_edges():
+    # no decided seeds, no wins, 3 of 5 at exactly a half, 20 of 20 at 2^-20
+    for (wins, n), p in {(0, 0): 1.0, (0, 5): 1.0, (3, 5): 0.5,
+                         (20, 20): 2.0**-20}.items():
+        assert synthetic.sign_test_pvalue(wins, n) == p
+
+
 def test_criterion_7a_learned_basis_beats_identity():
     _, summaries = synthetic.run_ablation("lattice", seeds=20)
     s = summaries[0]

@@ -55,7 +55,10 @@ def test_unpack_hand_example():
 
 
 def test_unpack_empty():
-    assert unpack_codes(b"", 3, 4, 0).shape == (4, 0)
+    for bits in range(1, 9):  # a (dim, 0) code matrix packs to no bytes
+        for dtype in (np.int8, np.int64, float, bool):
+            assert pack_codes(np.zeros((4, 0), dtype), bits) == b""
+        assert unpack_codes(b"", bits, 4, 0).shape == (4, 0)
 
 
 def test_unpack_length_mismatch():
@@ -411,6 +414,12 @@ def test_row_span_codes_are_the_slice_of_unpack_codes(bits):
             payload = pack_codes(random_codes(rng, bits, dim, codec.columns), bits)
             flat = unpack_codes(payload, bits, dim, codec.columns).T.ravel()
             blocks = container._payload_blocks(payload, bits)
+            # a view of the payload exactly when bits divides its length,
+            # zero-filled past its end
+            view = np.frombuffer(payload, np.uint8)
+            assert np.shares_memory(blocks, view) == (len(payload) % bits == 0)
+            assert blocks.ravel()[:len(payload)].tobytes() == payload
+            assert not blocks.ravel()[len(payload):].any()
             for step in (1, 5, 8, 24, rows):
                 for r0 in range(0, rows, step):
                     r1 = min(r0 + step, rows)
