@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # defensive: a bug, not bad input
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -302,29 +302,25 @@ def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
     place, so a proposal holds one m x n array for both; the fit passes W
     C-contiguous too, so the subtraction reads both arrays row by row.
     Costs O(m n^2) whatever the calibration length.  Also returns the
-    terms (zf, v, p, dg) that _hessian_grads reuses, so a rejected
-    proposal pays for its loss alone."""
-    pair = np.empty((2,) + np.shape(codes))
-    dw = reconstruct(codes, codec, out=np.empty((codec.rows, codec.cols)),
-                     scratch=pair.ravel())
-    zf, v = pair  # Z as float and G Z
-    if codec.mu:  # expand(G Z) went where Z was
-        zf[...] = codes
+    terms (p, dg) that _hessian_grads reuses, so a rejected proposal pays
+    for its loss alone."""
+    dw = reconstruct(codes, codec, out=np.empty((codec.rows, codec.cols)))
     dw -= weights
     p = dw @ hess
     dg = codec.basis - basis_init
     loss = float((dw * p).sum() + lam * (dg * dg).sum())
-    return loss, (zf, v, p, dg)
+    return loss, (p, dg)
 
 
-def _hessian_grads(codec, terms, lam):
-    """Analytic gradients w.r.t. basis and mu from _hessian_loss's terms,
-    with codes held constant (straight-through past the rounding)."""
-    zf, v, p, dg = terms
+def _hessian_grads(codec, codes, terms, lam):
+    """Analytic gradients w.r.t. basis and mu from the codes and the terms
+    of _hessian_loss, codes held constant (straight-through past rounding)."""
+    p, dg = terms
+    zf = np.asarray(codes, dtype=float)
     g_lat, _ = reshape_group(p, codec.dim)  # pad positions land on zeros
     g_lat *= 2.0
     if codec.mu:
-        didy, didmu = companding.expand_grad(v, codec.mu)
+        didy, didmu = companding.expand_grad(codec.basis @ zf, codec.mu)
         g_v = g_lat * (codec.scale * didy)
         grad_mu = float((g_lat * (codec.scale * didmu)).sum())
     else:  # expand is the identity: dF_inv/dy = 1 and dF_inv/dmu = 0
@@ -338,7 +334,7 @@ def _grads(weights, calib, codec, codes, basis_init, lam):
     x = np.asarray(calib, dtype=float)
     _, terms = _hessian_loss(w, x @ x.T, codec, codes,
                              np.asarray(basis_init, dtype=float), lam)
-    return _hessian_grads(codec, terms, lam)
+    return _hessian_grads(codec, codes, terms, lam)
 
 
 def grad_basis(weights, calib, codec, codes, basis_init, lam: float = LAM) -> np.ndarray:
@@ -502,8 +498,8 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
     inverse = np.linalg.inv(codec.basis)
     codes = quantize_columns(latent, codec, inverse)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
-    g_b, g_m = _hessian_grads(codec, terms, LAM)
-    del terms  # three group copies that no proposal needs
+    g_b, g_m = _hessian_grads(codec, codes, terms, LAM)
+    del terms  # p, a group copy that no proposal needs
     report.loss_history.append(loss)
 
     def propose(candidate):
@@ -538,7 +534,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
             found = _line_search(step, size, loss, propose)
             if found is not None:
                 loss, (codec, latent, inverse, codes, terms) = found
-                g_b, g_m = _hessian_grads(codec, terms, LAM)
+                g_b, g_m = _hessian_grads(codec, codes, terms, LAM)
                 del found, terms
                 report.loss_history.append(loss)
                 accepted_any = True

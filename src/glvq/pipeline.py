@@ -152,11 +152,14 @@ def metrics(weights, w_hat, calib) -> dict:
     reconstruction ``w_hat`` of ``weights`` under calibration ``calib``."""
     m = weights.shape[0]
     t = calib.shape[1]
-    # the outputs first, so that the layer-sized dw is not alive beside them
     out_ref = weights @ calib
-    out_hat = w_hat @ calib
+    # a float32 decode is cast to float64 once and dw is taken in that copy
+    # (a float64 w_hat is the caller's): one layer-sized allocation, not a
+    # cast for the product plus dw, whose heap placement moved peaks 1.8 MB
+    w64 = np.asarray(w_hat, dtype=float)
+    out_hat = w64 @ calib
     dout = out_hat - out_ref
-    dw = w_hat - weights
+    dw = np.subtract(w64, weights, out=None if w64 is w_hat else w64)
     return {
         "weight_mse": float(np.multiply(dw, dw, out=dw).mean()),
         "output_mse": float((dout * dout).sum() / (m * t)),

@@ -217,6 +217,18 @@ def test_sign_test_pvalue_at_its_edges():
         assert synthetic.sign_test_pvalue(wins, n) == p
 
 
+def test_summary_ties_leave_the_sign_test():
+    # arm a wins seed 0, ties seed 1 and loses seed 2: the tie is counted
+    # but the sign test runs over the 2 decided seeds only
+    rows = [{"seed": seed, "arm": arm, "err": value}
+            for seed, pair in enumerate(((1, 2), (3, 3), (5, 4)))
+            for arm, value in zip("ab", pair)]
+    s = synthetic._summarize(rows, "preset", "a", "b", "err")
+    assert (s["wins"], s["ties"], s["losses"]) == (1, 1, 1)
+    assert s["pvalue"] == synthetic.sign_test_pvalue(1, 2) == 0.75
+    assert not s["direction_holds"]
+
+
 def test_criterion_7a_learned_basis_beats_identity():
     _, summaries = synthetic.run_ablation("lattice", seeds=20)
     s = summaries[0]

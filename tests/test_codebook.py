@@ -142,7 +142,9 @@ def test_reconstruct_inverts_quantize_on_representable_input():
 @pytest.mark.parametrize("mu", (0.0, 50.0))
 def test_decode_leaves_g_z_as_computed(mu):
     # at mu = 0 G Z itself is placed, so the scaling must not run in
-    # place: the fit's gradients read G Z from the second half of scratch
+    # place; decode_matrix and row_blocks pass one buffer, sized for their
+    # largest group, to every call, so a call may write only the first
+    # 2 * codes.size values of it
     rng = np.random.default_rng(3)
     codec = make_codec(0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4)),
                        mu, 3, 2.5, 8, 6)
@@ -858,16 +860,18 @@ def test_quantize_peak_is_one_group_copy_and_its_codes(traced_peak):
 
 
 @pytest.mark.parametrize("rows", (512, 509))
-@pytest.mark.parametrize("config, copies", ((RunConfig(max_iters=20), 7.5),
+@pytest.mark.parametrize("config, copies", ((RunConfig(max_iters=20), 6.0),
                                             (replace(COMPANDED, max_iters=20), 12.5)),
                          ids=("linear", "companded"))
 def test_fit_peak_holds_no_finished_proposals_terms(traced_peak, rows, config, copies):
-    # a proposal's decode terms (Z as float, G Z, p: three float64 group
-    # copies) are dropped once read, so no proposal runs beside an
-    # earlier one's, and dW is taken in W_hat's array; measured 6.5
-    # copies linear and 11.4 companded (9.4 linear when dW was a second
-    # array; 13.65 and 15.65 when an accepted and a rejected proposal's
-    # terms stayed alive)
+    # an accepted state holds p (one float64 group copy) and the int8
+    # codes, not Z as float and G Z, which the gradients rebuild from the
+    # codes; a proposal's p is dropped once read, so no proposal runs
+    # beside an earlier one's, and dW is taken in W_hat's array; measured
+    # 4.77 copies linear (5.64 for the padded 509 rows) and 11.4
+    # companded (6.5 linear when the fit kept Z and G Z; 9.4 when dW was
+    # a second array; 13.65 and 15.65 when an accepted and a rejected
+    # proposal's terms stayed alive)
     rng = np.random.default_rng(29)
     g = rng.standard_t(4, size=(rows, 128))
     x = rng.standard_normal((128, 128))

@@ -1,6 +1,7 @@
 """Exit code of every CLI error case, and the library error types behind
 them: bad data (container.DataError, or OSError) exits 3, bad settings
-(any other ValueError) exit 2, and no named output file is left behind."""
+(any other ValueError) exit 2, any other exception exits 4, and no named
+output file is left behind."""
 
 import dataclasses
 from pathlib import Path
@@ -129,6 +130,16 @@ def test_cli_error_exit_code(tmp_path, name):
     for flag in ("--out", "--report"):
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+def test_cli_internal_error_exits_4(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(container, "overhead_report", boom)
+    argv = ["overhead", "--dim", "8", "--rows", "4", "--cols", "4", "--bits", "2"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 4
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ library

@@ -401,6 +401,22 @@ def test_cli_eval_csv_holds_what_eval_prints(tmp_path, capsys):
     assert [f"{float(v):.6g}" for v in values] == list(printed.values())
 
 
+def test_metrics_takes_dw_in_its_own_copy_only():
+    # a float32 w_hat's float64 cast is metrics' own and becomes dw in
+    # place; a float64 w_hat (row- or column-major) is the caller's and
+    # stays as it was
+    rng = np.random.default_rng(41)
+    w = rng.standard_normal((8, 24))
+    x = rng.standard_normal((24, 6))
+    noisy = w + 0.1 * rng.standard_normal(w.shape)
+    for w_hat in (noisy, np.asfortranarray(noisy), noisy.astype(np.float32)):
+        before = w_hat.copy(order="A")
+        got = pipeline.metrics(w, w_hat, x)
+        assert w_hat.tobytes(order="A") == before.tobytes(order="A")
+        dw = w_hat.astype(float) - w
+        assert got["weight_mse"] == pytest.approx((dw * dw).mean(), rel=1e-12)
+
+
 def test_evaluate_scores_the_tensor_dequantize_writes(tmp_path):
     rng = np.random.default_rng(5)
     w = rng.standard_normal((64, 256))
