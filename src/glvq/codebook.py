@@ -61,8 +61,11 @@ def _check_array(data, name: str) -> np.ndarray:
 def check_inputs(weights, calib):
     """Float weights and calib, or DataError unless both are 2-D,
     non-empty and finite, with one calib row per weight column."""
-    w = _check_array(weights, "weights")
-    x = _check_array(calib, "calib")
+    return check_rows(_check_array(weights, "weights"), _check_array(calib, "calib"))
+
+
+def check_rows(w, x):
+    """(w, x), or DataError unless calib ``x`` has one row per column of ``w``."""
     if w.shape[1] != x.shape[0]:
         raise DataError(f"calib has {x.shape[0]} rows for {w.shape[1]} weight columns")
     return w, x
@@ -121,6 +124,12 @@ class RunConfig:
         if not 1.0 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
         _check_count("group_width", self.group_width)
+
+
+def partition_columns(cols: int, width: int):
+    """The one cut of a layer into groups: spans [start, stop) of at most ``width`` columns."""
+    _check_count("width", width)
+    return [(a, min(a + width, cols)) for a in range(0, cols, width)]
 
 
 def _check_count(name: str, value) -> None:
@@ -321,8 +330,10 @@ def _hessian_grads(codec, codes, terms, lam):
     g_lat *= 2.0
     if codec.mu:
         didy, didmu = companding.expand_grad(codec.basis @ zf, codec.mu)
-        g_v = g_lat * (codec.scale * didy)
-        grad_mu = float((g_lat * (codec.scale * didmu)).sum())
+        for d in (didy, didmu):  # g_lat * (scale * d), in place
+            d *= codec.scale
+            d *= g_lat
+        g_v, grad_mu = didy, float(didmu.sum())
     else:  # expand is the identity: dF_inv/dy = 1 and dF_inv/dmu = 0
         g_lat *= codec.scale
         g_v, grad_mu = g_lat, 0.0

@@ -72,7 +72,8 @@ def expand(y, mu, out=None):
 
 
 def expand_grad(y, mu):
-    """Derivatives (dF_inv/dy, dF_inv/dmu) of the expand transform.
+    """Derivatives (dF_inv/dy, dF_inv/dmu) of the expand transform, each in
+    one new array (a float for a scalar y).
 
     dF_inv/dy = (1 + mu)^|y| ln(1 + mu) / mu, positive and even in y.
     """
@@ -81,13 +82,18 @@ def expand_grad(y, mu):
     if mu == 0.0:
         return (np.ones_like(a), np.zeros_like(a)) if a.ndim else (1.0, 0.0)
     log1p_mu = np.log1p(mu)
-    absy = np.abs(a)
-    p = np.exp(absy * log1p_mu)  # (1 + mu)^|y|
-    didy = p * log1p_mu / mu
-    didmu = np.sign(a) * (absy * p / (1.0 + mu) * mu - (p - 1.0)) / mu**2
-    if didy.ndim:
-        return didy, didmu
-    return float(didy), float(didmu)
+    # in place, rounded as sgn(y) (|y| p / (1 + mu) mu - (p - 1)) / mu^2 is
+    didmu = np.abs(a)
+    p = np.exp(didmu * log1p_mu)  # (1 + mu)^|y|
+    didmu *= p
+    didmu /= 1.0 + mu
+    didmu *= mu
+    didmu -= p - 1.0
+    didmu *= np.sign(a)
+    didmu /= mu**2
+    p *= log1p_mu  # dF_inv/dy, in p's array
+    p /= mu
+    return (p, didmu) if a.ndim else (float(p), float(didmu))
 
 
 def kurtosis(sample) -> float:

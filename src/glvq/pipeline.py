@@ -3,7 +3,8 @@
 Partitions a weight matrix into column groups, optionally runs
 salience-driven bit allocation, fits every group's codec, and assembles
 archive records plus evaluation metrics.  A run's settings are one
-codebook.RunConfig, which this module re-exports.
+codebook.RunConfig; this module re-exports it and the column cut,
+codebook.partition_columns.
 """
 
 import ctypes
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitalloc, codebook, container
-from .codebook import RunConfig
+from .codebook import RunConfig, partition_columns
 
 
 @dataclass
@@ -29,11 +30,6 @@ class QuantizeResult:
     def mean_bits(self) -> float:
         weights = np.array([(b - a) for a, b in self.spans], dtype=float)
         return float((self.bits * weights).sum() / weights.sum())
-
-
-def partition_columns(cols: int, width: int):
-    """Column spans [start, stop) of at most ``width`` columns each."""
-    return [(a, min(a + width, cols)) for a in range(0, cols, width)]
 
 
 def _fit(job):
@@ -131,17 +127,14 @@ def quantize_matrix(weights, calib, config: RunConfig, parallel: bool = False) -
     w, x = codebook.check_inputs(weights, calib)
 
     spans = partition_columns(w.shape[1], config.group_width)
-    groups = [w[:, a:b] for a, b in spans]
-    n_groups = len(groups)
-
-    if config.bit_alloc and n_groups >= 2:
-        bits = bitalloc.allocate_bits(groups, x, config.bits)
+    if config.bit_alloc and len(spans) >= 2:
+        bits = bitalloc.allocate_bits(w, x, config.group_width, config.bits)
     elif bitalloc.is_integer_target(config.bits):
-        bits = np.full(n_groups, round(config.bits), dtype=np.int64)
+        bits = np.full(len(spans), round(config.bits), dtype=np.int64)
     else:
         raise ValueError("fractional bit targets need bit allocation over >= 2 groups")
 
-    jobs = [(g, x[a:b, :], int(bg), config) for (a, b), g, bg in zip(spans, groups, bits)]
+    jobs = [(w[:, a:b], x[a:b, :], int(bg), config) for (a, b), bg in zip(spans, bits)]
     fits = _fit_all(jobs, parallel)
     return QuantizeResult(records=[(codec, codes) for codec, codes, _ in fits],
                           spans=spans, bits=bits, reports=[r for _, _, r in fits])

@@ -266,23 +266,23 @@ def test_criterion_8_bit_allocation_constraints():
     rng = np.random.default_rng(1008)
 
     def layer(g):
-        groups = [4.0 ** rng.uniform(-1, 1) * rng.standard_normal((8, 4))
-                  for _ in range(g)]
-        return groups, rng.standard_normal((4 * g, 16))
+        w = np.hstack([4.0 ** rng.uniform(-1, 1) * rng.standard_normal((8, 4))
+                       for _ in range(g)])
+        return w, rng.standard_normal((4 * g, 16))
 
     def balanced_ok(bits, n):
         return (bits.mean() == n
                 and (bits == n + 1).sum() == (bits == n - 1).sum()
                 and set(np.unique(bits)) <= {n - 1, n, n + 1})
 
-    def first_argmin_bits(groups, x, n):
+    def first_argmin_bits(w, x, n):
         """balanced_bits at the first minimizer of a directly computed D(k)."""
-        order = np.argsort(-compute_salience(groups, x, n), kind="stable")
-        ref = np.hstack(groups) @ x
+        order = np.argsort(-compute_salience(w, x, 4, n), kind="stable")
+        ref = w @ x
         d = [kl_objective(ref, np.hstack(
-                 [rtn_quantize(w, int(b))
-                  for w, b in zip(groups, balanced_bits(order, n, k))]) @ x)
-             for k in range(len(groups) // 2 + 1)]
+                 [rtn_quantize(w[:, 4 * i:4 * i + 4], int(b))
+                  for i, b in enumerate(balanced_bits(order, n, k))]) @ x)
+             for k in range(order.size // 2 + 1)]
         return balanced_bits(order, n, int(np.argmin(d)))
 
     ok = True
@@ -291,17 +291,17 @@ def test_criterion_8_bit_allocation_constraints():
     # and for every swap count k the search can pick
     for n in (2, 3, 4):
         for g in (4, 10, 64):
-            groups, x = layer(g)
-            bits = allocate_bits(groups, x, n)
+            w, x = layer(g)
+            bits = allocate_bits(w, x, 4, n)
             ok &= balanced_ok(bits, n)
             # the search returns the exact first argmin of D(k)
-            search_ok &= np.array_equal(bits, first_argmin_bits(groups, x, n))
+            search_ok &= np.array_equal(bits, first_argmin_bits(w, x, n))
             order = rng.permutation(g)
             ok &= all(balanced_ok(balanced_bits(order, n, k), n)
                       for k in range(g // 2 + 1))
     # fractional target over 64 groups
-    groups, x = layer(64)
-    bits = allocate_bits(groups, x, 1.5)
+    w, x = layer(64)
+    bits = allocate_bits(w, x, 4, 1.5)
     frac_ok = (abs(bits.mean() - 1.5) <= 1 / (2 * 64)
                and set(np.unique(bits)) <= {1, 2})
     ok &= frac_ok

@@ -254,7 +254,11 @@ def test_group_fit_bad_settings_are_not_data_errors(dim, bits):
 # name -> (call, message) of a library argument rejected as a setting
 BAD_ARGUMENTS = {
     "salience-probe-bits-0": (
-        lambda: bitalloc.compute_salience([W], X, probe_bits=0), "probe_bits"),
+        lambda: bitalloc.compute_salience(W, X, 8, probe_bits=0), "probe_bits"),
+    "allocation-width-0": (
+        lambda: bitalloc.allocate_bits(W, X, 0, 2), "width must be an integer >= 1"),
+    "salience-width-not-integer": (
+        lambda: bitalloc.compute_salience(W, X, 2.5), "width must be an integer >= 1"),
     "balanced-k-negative": (
         lambda: bitalloc.balanced_bits(np.arange(4), 2, -1), "k=-1 out of range"),
     "balanced-k-past-half": (
