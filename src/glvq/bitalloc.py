@@ -38,9 +38,9 @@ def compute_salience(weights, calib, width, probe_bits: int = 2) -> np.ndarray:
 
 
 def _col_log_softmax(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=0, keepdims=True)
-    e = np.exp(a - m)
-    return (a - m) - np.log(e.sum(axis=0, keepdims=True))
+    s = a - a.max(axis=0, keepdims=True)  # a new array, shifted in place below
+    s -= np.log(np.exp(s).sum(axis=0, keepdims=True))
+    return s
 
 
 def kl_objective(reference_out, quantized_out) -> float:
@@ -51,8 +51,10 @@ def kl_objective(reference_out, quantized_out) -> float:
         raise DataError(f"shape mismatch: {p_in.shape} vs {q_in.shape}")
     if not (np.all(np.isfinite(p_in)) and np.all(np.isfinite(q_in))):
         raise DataError("non-finite entries")
-    logp, logq = _col_log_softmax(p_in), _col_log_softmax(q_in)
-    return float((np.exp(logp) * (logp - logq)).sum(axis=0).mean())
+    logp, terms = _col_log_softmax(p_in), _col_log_softmax(q_in)
+    np.subtract(logp, terms, out=terms)  # log p - log q
+    terms *= np.exp(logp, out=logp)  # p (log p - log q)
+    return float(terms.sum(axis=0).mean())
 
 
 def balanced_bits(order: np.ndarray, n: int, k: int) -> np.ndarray:

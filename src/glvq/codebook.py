@@ -311,22 +311,23 @@ def _hessian_loss(weights, hess, codec, codes, basis_init, lam):
     place, so a proposal holds one m x n array for both; the fit passes W
     C-contiguous too, so the subtraction reads both arrays row by row.
     Costs O(m n^2) whatever the calibration length.  Also returns the
-    terms (p, dg) that _hessian_grads reuses, so a rejected proposal pays
-    for its loss alone."""
+    terms [p, dg] that _hessian_grads reuses, so a rejected proposal pays
+    for its loss alone; a list, so that _hessian_grads can drop p."""
     dw = reconstruct(codes, codec, out=np.empty((codec.rows, codec.cols)))
     dw -= weights
     p = dw @ hess
     dg = codec.basis - basis_init
     loss = float((dw * p).sum() + lam * (dg * dg).sum())
-    return loss, (p, dg)
+    return loss, [p, dg]
 
 
 def _hessian_grads(codec, codes, terms, lam):
     """Analytic gradients w.r.t. basis and mu from the codes and the terms
-    of _hessian_loss, codes held constant (straight-through past rounding)."""
-    p, dg = terms
+    of _hessian_loss, codes held constant (straight-through past rounding).
+    Clears the terms' p once it is read."""
     zf = np.asarray(codes, dtype=float)
-    g_lat, _ = reshape_group(p, codec.dim)  # pad positions land on zeros
+    g_lat, _ = reshape_group(terms[0], codec.dim)  # pad positions land on zeros
+    terms[0] = None  # p, a group copy, freed before expand_grad's arrays
     g_lat *= 2.0
     if codec.mu:
         didy, didmu = companding.expand_grad(codec.basis @ zf, codec.mu)
@@ -337,7 +338,7 @@ def _hessian_grads(codec, codes, terms, lam):
     else:  # expand is the identity: dF_inv/dy = 1 and dF_inv/dmu = 0
         g_lat *= codec.scale
         g_v, grad_mu = g_lat, 0.0
-    return g_v @ zf.T + 2.0 * lam * dg, grad_mu
+    return g_v @ zf.T + 2.0 * lam * terms[1], grad_mu
 
 
 def _grads(weights, calib, codec, codes, basis_init, lam):
@@ -509,8 +510,7 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
     inverse = np.linalg.inv(codec.basis)
     codes = quantize_columns(latent, codec, inverse)
     loss, terms = _hessian_loss(w, hess, codec, codes, basis_init, LAM)
-    g_b, g_m = _hessian_grads(codec, codes, terms, LAM)
-    del terms  # p, a group copy that no proposal needs
+    g_b, g_m = _hessian_grads(codec, codes, terms, LAM)  # which frees p
     report.loss_history.append(loss)
 
     def propose(candidate):
@@ -546,7 +546,6 @@ def fit_group(weights, calib, dim: int, bits: int, config: RunConfig | None = No
             if found is not None:
                 loss, (codec, latent, inverse, codes, terms) = found
                 g_b, g_m = _hessian_grads(codec, codes, terms, LAM)
-                del found, terms
                 report.loss_history.append(loss)
                 accepted_any = True
         # without an accept every search has stalled, since a line search

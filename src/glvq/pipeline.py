@@ -5,10 +5,17 @@ salience-driven bit allocation, fits every group's codec, and assembles
 archive records plus evaluation metrics.  A run's settings are one
 codebook.RunConfig; this module re-exports it and the column cut,
 codebook.partition_columns.
+
+Every group has its own codec, so the fits are independent.  A parallel
+run forks its fit workers directly and talks to each over two pipes
+(_fit_all); it does not load multiprocessing or concurrent.futures,
+whose import and executor set-up cost a quantize about 20 ms before its
+first fit.
 """
 
 import ctypes
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,58 +67,136 @@ def _one_blas_thread():
     return done
 
 
-_worker_jobs = None  # a fork worker's copy of the jobs, set by _start_worker
 _PR_SET_PDEATHSIG = 1  # prctl option of <linux/prctl.h>
 
 
-def _start_worker(jobs, cpus, parent):
-    """Pool initializer: keep the jobs, which the worker has by fork, pin
-    the worker to one CPU of the queue ``cpus``, give BLAS one thread, and
-    have the kernel kill the worker when its parent process ``parent``
-    dies, since it would otherwise wait for jobs forever.  Unpinned, the
-    kernel was seen to keep two workers on one CPU."""
-    import signal  # loaded by multiprocessing already; see _fit_all
+def _send(fd, data):
+    """Write all of ``data`` to the pipe ``fd``."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    global _worker_jobs
-    _worker_jobs = jobs
+
+def _recv(fd, n):
+    """Read ``n`` bytes from the pipe ``fd``; None if it ends before."""
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        k = os.readv(fd, [view[got:]])
+        if k == 0:
+            return None
+        got += k
+    return buf
+
+
+def _serve(jobs, cpu, parent, orders, replies):
+    """A fork worker's loop: have the kernel kill this process when its
+    parent ``parent`` dies, since it would otherwise wait for orders
+    forever; pin it to ``cpu`` and give BLAS one thread; then fit each
+    job index read from ``orders`` and write back to ``replies`` the
+    length-prefixed pickle of (index, ok, fit or exception).  Unpinned,
+    the kernel was seen to keep two workers on one CPU."""
+    import signal  # loaded by _fit_all already
+
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # it died before the prctl
-        os._exit(1)
-    os.sched_setaffinity(0, {cpus.get()})
+        return
+    os.sched_setaffinity(0, {cpu})
     _one_blas_thread()
-
-
-def _fit_in_worker(i):
-    return _fit(_worker_jobs[i])
+    while (order := _recv(orders, 4)) is not None:
+        i = int.from_bytes(order, "little")
+        try:
+            reply = pickle.dumps((i, True, _fit(jobs[i])))
+        except Exception as e:
+            reply = pickle.dumps((i, False, e))
+        _send(replies, len(reply).to_bytes(8, "little") + reply)
 
 
 def _fit_all(jobs, parallel):
-    """_fit over the jobs, in order.  With ``parallel``, over fork workers,
-    one per CPU of this process's affinity set and at most one per job;
-    in this process otherwise, or when that set has one CPU or the
-    platform has no affinity call.  A fit's exception is re-raised here
-    with its type; the workers are joined before this returns."""
+    """_fit over the jobs, in order.  With ``parallel``, over workers
+    forked from this process, one per CPU of its affinity set and at most
+    one per job; in this process otherwise, or when that set has one CPU
+    or the platform has no affinity call.
+
+    Each worker has its own order pipe and reply pipe.  This process
+    hands out job indices in job order, one at a time, to whichever
+    worker replied last, and reads the replies with select.  Once a fit
+    fails no new job starts; the fits under way finish, and the
+    lowest-index failure, the one a serial run meets, is re-raised here
+    with its type.  A worker that dies, under a fit or before its next
+    order, raises RuntimeError.  The pipes are closed and every worker is reaped before
+    this returns; on an exception here, such as an interrupt, the workers
+    are killed first."""
     cpus = []
     if parallel and hasattr(os, "sched_getaffinity"):
         cpus = sorted(os.sched_getaffinity(0))[:len(jobs)]
     if len(cpus) < 2:
         return [_fit(job) for job in jobs]
-    # imported here: a CLI run that fits nothing, such as dequantize, would
-    # pay for them in start-up time and resident memory
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: a CLI run that fits nothing, such as dequantize,
+    # need not load them
+    import select
+    import signal
 
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.SimpleQueue()
-    for cpu in cpus:
-        queue.put(cpu)
+    parent, todo, pids = os.getpid(), iter(range(len(jobs))), []
+    orders = {}  # a worker's reply pipe -> its order pipe
+    pending = {}  # a worker's reply pipe -> the job it fits
+    fits, failed = [None] * len(jobs), {}  # failed: job -> its exception
+
+    def hand_out(reply):
+        i = None if failed else next(todo, None)
+        if i is not None:
+            try:
+                _send(orders[reply], i.to_bytes(4, "little"))
+            except BrokenPipeError:
+                raise RuntimeError("a fit worker died") from None
+            pending[reply] = i
+
     try:
-        with ProcessPoolExecutor(len(cpus), mp_context=ctx, initializer=_start_worker,
-                                 initargs=(jobs, queue, os.getpid())) as pool:
-            # on an error, map cancels the fits that have not started
-            return list(pool.map(_fit_in_worker, range(len(jobs))))
+        for cpu in cpus:
+            order_r, order_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            orders[reply_r] = order_w
+            try:
+                pid = os.fork()
+                if pid == 0:  # the worker, which never leaves this block
+                    try:  # it keeps only its own ends of its own pipes
+                        for fd in (*orders, *orders.values()):
+                            os.close(fd)
+                        _serve(jobs, cpu, parent, order_r, reply_w)
+                    finally:  # no exit status is read: the pipes tell
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                os.close(order_r)
+                os.close(reply_w)
+        for reply in orders:
+            hand_out(reply)
+        while pending:
+            for reply in select.select(list(pending), [], [])[0]:
+                body = _recv(reply, 8)  # the length, then the pickle
+                if body is not None:
+                    body = _recv(reply, int.from_bytes(body, "little"))
+                if body is None:
+                    raise RuntimeError(f"a fit worker died in fit {pending[reply]}")
+                i, ok, value = pickle.loads(body)
+                del pending[reply]
+                if ok:
+                    fits[i] = value
+                else:
+                    failed[i] = value
+                hand_out(reply)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        queue.close()
+        for fd in (*orders, *orders.values()):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return fits
 
 
 def quantize_matrix(weights, calib, config: RunConfig, parallel: bool = False) -> QuantizeResult:
@@ -121,7 +206,9 @@ def quantize_matrix(weights, calib, config: RunConfig, parallel: bool = False) -
     ``parallel`` fits the groups in processes forked from this one (Linux
     only): one per CPU of this process's affinity set, capped at the
     group count, each pinned to its CPU and given one BLAS thread.  The
-    result is the same either way.  The default fits in this process:
+    result is the same either way, and so is the exception of a failed
+    fit; a worker that dies under a fit raises RuntimeError.  The
+    default fits in this process:
     only a caller that holds no threads may fork, and ``glvq quantize``
     passes True."""
     w, x = codebook.check_inputs(weights, calib)

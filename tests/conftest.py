@@ -1,19 +1,43 @@
-import multiprocessing
 import os
+import signal
 import tracemalloc
 
 import pytest
 
 
+def _child_pids():
+    """Ids of this process's children, running or exited but not reaped."""
+    try:  # reaps nothing (WNOWAIT); raises if there is no child at all
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:  # the usual case: no /proc to read
+        return []
+    me, pids = str(os.getpid()), []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[1] == me:
+                    pids.append(int(entry))
+        except (FileNotFoundError, ProcessLookupError):  # it has gone
+            pass
+    return pids
+
+
+@pytest.fixture
+def child_pids():
+    """A function that lists this process's children, as the check after
+    every test does."""
+    return _child_pids
+
+
 @pytest.fixture(autouse=True)
 def no_leftover_processes():
-    """Fail a test that leaves a multiprocessing child running, and end
-    the child so the next test does not inherit it."""
+    """Fail a test that leaves a child process, forked or spawned, running
+    or unreaped, and end and reap it so the next test does not inherit it."""
     yield
-    left = multiprocessing.active_children()
-    for child in left:
-        child.terminate()
-        child.join(timeout=10)
+    left = _child_pids()
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
     assert not left, f"test left processes running: {left}"
 
 

@@ -861,18 +861,19 @@ def test_quantize_peak_is_one_group_copy_and_its_codes(traced_peak):
 
 @pytest.mark.parametrize("rows", (512, 509))
 @pytest.mark.parametrize("config, copies", ((RunConfig(max_iters=20), 6.0),
-                                            (replace(COMPANDED, max_iters=20), 8.75)),
+                                            (replace(COMPANDED, max_iters=20), 7.75)),
                          ids=("linear", "companded"))
 def test_fit_peak_holds_no_finished_proposals_terms(traced_peak, rows, config, copies):
-    # an accepted state holds p (one float64 group copy) and the int8
-    # codes, not Z as float and G Z, which the gradients rebuild from the
-    # codes; a proposal's p is dropped once read, so no proposal runs
-    # beside an earlier one's, dW is taken in W_hat's array, and the
-    # companded gradient is formed in place; measured 4.77 copies linear
-    # (5.64 for the padded 509 rows) and 8.39 companded (11.4 when the
-    # companded gradient made a temporary per operation; 6.5 linear when
-    # the fit kept Z and G Z; 9.4 when dW was a second array; 13.65 and
-    # 15.65 when an accepted and a rejected proposal's terms stayed alive)
+    # an accepted state holds the int8 codes, not Z as float and G Z,
+    # which the gradients rebuild from the codes; a proposal's p is
+    # dropped once read, so no proposal runs beside an earlier one's and
+    # no companded gradient runs beside p, dW is taken in W_hat's array,
+    # and the companded gradient is formed in place; measured 4.77 copies
+    # linear (5.64 for the padded 509 rows) and 7.39 companded (8.39 while
+    # p lived through the gradient; 11.4 when the companded gradient made
+    # a temporary per operation; 6.5 linear when the fit kept Z and G Z;
+    # 9.4 when dW was a second array; 13.65 and 15.65 when an accepted and
+    # a rejected proposal's terms stayed alive)
     rng = np.random.default_rng(29)
     g = rng.standard_t(4, size=(rows, 128))
     x = rng.standard_normal((128, 128))

@@ -1,9 +1,10 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -178,7 +179,7 @@ def fit_pids(tmp_path, monkeypatch):
     return lambda: [int(p) for p in path.read_text().split()] if path.exists() else []
 
 
-def test_quantize_matrix_same_serial_and_parallel(two_cpus, fit_pids):
+def test_quantize_matrix_same_serial_and_parallel(two_cpus, fit_pids, child_pids):
     w, x = synthetic.make_layer(3, n_groups=5, group_cols=32, calib_T=24)
     cfg = pipeline.RunConfig(dim=4, bits=1.5, group_width=32, max_iters=30)
     serial = pipeline.quantize_matrix(w, x, cfg)
@@ -190,12 +191,12 @@ def test_quantize_matrix_same_serial_and_parallel(two_cpus, fit_pids):
     assert forked.bits.tolist() == serial.bits.tolist()
     assert forked.reports == serial.reports
     assert forked.spans == serial.spans
-    assert not multiprocessing.active_children()
+    assert not child_pids()
 
 
 @pytest.mark.parametrize("cpus", [{0}, None])  # one CPU; no affinity call
 def test_parallel_fits_in_this_process_without_a_second_cpu(cpus, monkeypatch,
-                                                            fit_pids):
+                                                            fit_pids, child_pids):
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -204,10 +205,10 @@ def test_parallel_fits_in_this_process_without_a_second_cpu(cpus, monkeypatch,
     cfg = pipeline.RunConfig(dim=4, bits=1.5, group_width=32, max_iters=30)
     pipeline.quantize_matrix(w, x, cfg, parallel=True)
     assert fit_pids() == [os.getpid()] * 4
-    assert not multiprocessing.active_children()
+    assert not child_pids()
 
 
-def test_fit_error_in_a_worker_is_raised_with_its_type(two_cpus):
+def test_fit_error_in_a_worker_is_raised_with_its_type(two_cpus, child_pids):
     w, x = synthetic.make_layer(4, n_groups=4, group_cols=2, rows=4, calib_T=8)
     cfg = pipeline.RunConfig(dim=16, bits=2.0, group_width=2)  # 8 weights a group
     with pytest.raises(ValueError) as serial:
@@ -216,12 +217,13 @@ def test_fit_error_in_a_worker_is_raised_with_its_type(two_cpus):
         pipeline.quantize_matrix(w, x, cfg, parallel=True)
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
-    assert not multiprocessing.active_children()
+    assert not child_pids()
 
 
-def test_fit_error_in_a_worker_starts_no_more_fits(two_cpus, fit_pids, monkeypatch):
+def test_fit_error_in_a_worker_starts_no_more_fits(two_cpus, fit_pids, monkeypatch,
+                                                   child_pids):
     # the first of 12 fits fails at once and every other one takes 0.2 s,
-    # so the error arrives while most fits wait in the pool's queue; those
+    # so the error arrives while most fits are not yet handed out; those
     # must never start (fit_pids records each fit that does)
     w, x = synthetic.make_layer(5, n_groups=12, group_cols=4, rows=8, calib_T=8)
     cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=4, bit_alloc=False,
@@ -238,12 +240,12 @@ def test_fit_error_in_a_worker_starts_no_more_fits(two_cpus, fit_pids, monkeypat
     monkeypatch.setattr(pipeline, "_fit", first_fails)
     with pytest.raises(ValueError, match="the first group's fit failed"):
         pipeline.quantize_matrix(w, x, cfg, parallel=True)
-    assert not multiprocessing.active_children()
+    assert not child_pids()
     assert 1 <= len(fit_pids()) < 12
 
 
-def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys,
-                                                         monkeypatch, two_cpus):
+def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys, monkeypatch,
+                                                         two_cpus, child_pids):
     rng = np.random.default_rng(5)
     argv = ["quantize", write_pair(tmp_path, "w", rng.standard_normal((4, 8))),
             write_pair(tmp_path, "x", rng.standard_normal((8, 8))),
@@ -253,11 +255,113 @@ def test_cli_fit_error_in_a_worker_exits_as_a_serial_run(tmp_path, capsys,
         if serial:  # as on a platform with no affinity call: fits in-process
             monkeypatch.delattr(os, "sched_getaffinity")
         outcomes.append((run(argv), capsys.readouterr().err))
-        assert not multiprocessing.active_children()
+        assert not child_pids()
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == cli.EXIT_USAGE
     assert "dim=16 is not in [1, 8]" in outcomes[0][1]
     assert not (tmp_path / "a.glvq").exists()
+
+
+class _Hung(BaseException):
+    """Raised by _deadline; no handler of the library or the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block with _Hung if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise _Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("dies", ["in_a_fit", "after_a_reply"])
+def test_killed_worker_fails_the_run(dies, tmp_path, monkeypatch, two_cpus, child_pids):
+    # a worker killed, as by the OOM killer, under a fit (its reply pipe
+    # ends) or after a reply (its order pipe breaks): quantize_matrix
+    # raises RuntimeError and glvq quantize exits 4 and writes nothing,
+    # with no worker left behind and no wait for a reply that cannot come
+    w = synthetic.make_layer(5, n_groups=6, group_cols=4, rows=8, calib_T=8)[0]
+    w = w.astype(np.float32).astype(float)  # as the CLI reads it back
+    x = np.random.default_rng(5).standard_normal((24, 8))
+    fit, send, serve = pipeline._fit, pipeline._send, pipeline._serve
+    tester = os.getpid()
+
+    def killed_in_the_third_fit(job):
+        if os.getpid() != tester and np.array_equal(job[0], w[:, 8:12]):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(job)
+
+    def killed_after_a_reply(jobs, cpu, parent, orders, replies):
+        def reply_and_die(fd, data):
+            os.close(orders)  # first, so the parent's next order finds no reader
+            send(fd, data)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        pipeline._send = reply_and_die  # in this worker only
+        serve(jobs, cpu, parent, orders, replies)
+
+    if dies == "in_a_fit":
+        monkeypatch.setattr(pipeline, "_fit", killed_in_the_third_fit)
+    else:
+        monkeypatch.setattr(pipeline, "_serve", killed_after_a_reply)
+    cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=4, bit_alloc=False,
+                             max_iters=5)
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match="a fit worker died"):
+            pipeline.quantize_matrix(w, x, cfg, parallel=True)
+        assert not child_pids()
+        argv = ["quantize", write_pair(tmp_path, "w", w), write_pair(tmp_path, "x", x),
+                "--out", tmp_path / "a.glvq", "--report", tmp_path / "a.csv",
+                "--dim", 4, "--bits", 2, "--group-width", 4, "--no-bit-alloc",
+                "--max-iters", 5]
+        inputs = sorted(os.listdir(tmp_path))
+        assert run(argv) == cli.EXIT_INTERNAL
+    assert not child_pids()
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+_QUANTIZE_ON_TWO_CPUS = r"""
+import os, sys
+from glvq import cli, pipeline
+
+# two CPUs to fork a worker for, and pinning a no-op, on any machine
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
+fit, pids = pipeline._fit, sys.argv[1]
+
+def recording_fit(job):  # one append per fit, from the process that fits
+    fd = os.open(pids, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    os.write(fd, b"%d\n" % os.getpid())
+    os.close(fd)
+    return fit(job)
+
+pipeline._fit = recording_fit
+code = cli.main(sys.argv[2:])
+print(code, os.getpid(), *sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_cli_parallel_quantize_loads_no_multiprocessing(tmp_path):
+    # the fits fork their workers directly: importing multiprocessing and
+    # concurrent.futures cost a quantize about 15 ms before its first fit
+    w, x = synthetic.make_layer(6, n_groups=4, group_cols=32, calib_T=24)
+    pids = tmp_path / "fit_pids"
+    argv = [sys.executable, "-c", _QUANTIZE_ON_TWO_CPUS, pids, "quantize",
+            write_pair(tmp_path, "w", w), write_pair(tmp_path, "x", x),
+            "--out", tmp_path / "a.glvq", "--group-width", 32, "--max-iters", 10]
+    out = subprocess.run(list(map(str, argv)), env=CHILD_ENV, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    code, quantizer, *loaded = out.splitlines()[-1].split()
+    assert (code, loaded) == ("0", [])
+    fitters = pids.read_text().split()
+    assert len(fitters) == 4 and quantizer not in fitters
 
 
 def test_cli_output_same_on_one_cpu(tmp_path):
