@@ -261,10 +261,10 @@ def _latent_of(weights, codec: GroupCodec) -> np.ndarray:
 def reconstruct(codes, codec: GroupCodec, out=None, scratch=None) -> np.ndarray:
     """The one code-to-weight map: returns W_hat = scale * expand(G Z) as
     an m x n matrix, written into ``out`` (a float m x n array) or, when
-    it is None, into a new column-major float64 one.  Z as float and G Z
-    take the two halves of the first 2 * codes.size values of
-    ``scratch``, a flat float64 buffer that callers reuse, or of a new
-    one; at mu > 0 expand(G Z) overwrites Z's half."""
+    it is None, into a new column-major float64 one.  The call uses the
+    first 2 * codes.size values of ``scratch``, a flat float64 buffer that
+    callers reuse, or of a new one, as workspace, and leaves the rest of
+    it untouched."""
     z = np.asarray(codes)
     if scratch is None:
         scratch = np.empty(2 * z.size)

@@ -8,9 +8,10 @@ codebook.partition_columns.
 
 Every group has its own codec, so the fits are independent.  A parallel
 run forks its fit workers directly and talks to each over two pipes
-(_fit_all); it does not load multiprocessing or concurrent.futures,
-whose import and executor set-up cost a quantize about 20 ms before its
-first fit.
+(_fit_all): job indices go down one and (index, ok, fit or exception)
+come back up the other, each a pickle.  It does not load
+multiprocessing or concurrent.futures, whose import and executor set-up
+cost a quantize about 20 ms before its first fit.
 """
 
 import ctypes
@@ -70,32 +71,15 @@ def _one_blas_thread():
 _PR_SET_PDEATHSIG = 1  # prctl option of <linux/prctl.h>
 
 
-def _send(fd, data):
-    """Write all of ``data`` to the pipe ``fd``."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _recv(fd, n):
-    """Read ``n`` bytes from the pipe ``fd``; None if it ends before."""
-    buf = bytearray(n)
-    view, got = memoryview(buf), 0
-    while got < n:
-        k = os.readv(fd, [view[got:]])
-        if k == 0:
-            return None
-        got += k
-    return buf
-
-
 def _serve(jobs, cpu, parent, orders, replies):
     """A fork worker's loop: have the kernel kill this process when its
     parent ``parent`` dies, since it would otherwise wait for orders
     forever; pin it to ``cpu`` and give BLAS one thread; then fit each
-    job index read from ``orders`` and write back to ``replies`` the
-    length-prefixed pickle of (index, ok, fit or exception).  Unpinned,
-    the kernel was seen to keep two workers on one CPU."""
+    job index unpickled from the file ``orders`` and pickle (index, ok,
+    fit or exception) to the buffered file ``replies``, flushed after each
+    reply: a raw write can be short, and pickle ignores the count it
+    returns.  Unpinned, the kernel was seen to keep two workers on one
+    CPU."""
     import signal  # loaded by _fit_all already
 
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -103,13 +87,17 @@ def _serve(jobs, cpu, parent, orders, replies):
         return
     os.sched_setaffinity(0, {cpu})
     _one_blas_thread()
-    while (order := _recv(orders, 4)) is not None:
-        i = int.from_bytes(order, "little")
+    while True:
         try:
-            reply = pickle.dumps((i, True, _fit(jobs[i])))
+            i = pickle.load(orders)
+        except EOFError:  # the parent closed the pipe: no more jobs
+            return
+        try:
+            reply = (i, True, _fit(jobs[i]))
         except Exception as e:
-            reply = pickle.dumps((i, False, e))
-        _send(replies, len(reply).to_bytes(8, "little") + reply)
+            reply = (i, False, e)
+        pickle.dump(reply, replies)
+        replies.flush()
 
 
 def _fit_all(jobs, parallel):
@@ -118,15 +106,19 @@ def _fit_all(jobs, parallel):
     one per job; in this process otherwise, or when that set has one CPU
     or the platform has no affinity call.
 
-    Each worker has its own order pipe and reply pipe.  This process
-    hands out job indices in job order, one at a time, to whichever
-    worker replied last, and reads the replies with select.  Once a fit
-    fails no new job starts; the fits under way finish, and the
-    lowest-index failure, the one a serial run meets, is re-raised here
-    with its type.  A worker that dies, under a fit or before its next
-    order, raises RuntimeError.  The pipes are closed and every worker is reaped before
-    this returns; on an exception here, such as an interrupt, the workers
-    are killed first."""
+    Each worker has its own order pipe and reply pipe, each a stream of
+    pickles.  This process hands out job indices in job order, one at a
+    time, to whichever worker replied last, and reads the replies with
+    select; a worker has at most one reply outstanding, so a reply file's
+    buffer never holds bytes that select cannot see.  The order files are
+    unbuffered: closing a buffered one would retry a write that a broken
+    pipe refused and raise again.  Once a fit fails no new job starts;
+    the fits under way finish, and the lowest-index failure, the one a
+    serial run meets, is re-raised here with its type.  A worker that
+    dies, under a fit, part way through a reply or before its next
+    order, raises RuntimeError.  The pipes are closed and every worker is
+    reaped before this returns; on an exception here, such as an
+    interrupt, the workers are killed first."""
     cpus = []
     if parallel and hasattr(os, "sched_getaffinity"):
         cpus = sorted(os.sched_getaffinity(0))[:len(jobs)]
@@ -138,15 +130,15 @@ def _fit_all(jobs, parallel):
     import signal
 
     parent, todo, pids = os.getpid(), iter(range(len(jobs))), []
-    orders = {}  # a worker's reply pipe -> its order pipe
-    pending = {}  # a worker's reply pipe -> the job it fits
+    orders = {}  # a worker's reply file -> its order file
+    pending = {}  # a worker's reply file -> the job it fits
     fits, failed = [None] * len(jobs), {}  # failed: job -> its exception
 
     def hand_out(reply):
         i = None if failed else next(todo, None)
         if i is not None:
             try:
-                _send(orders[reply], i.to_bytes(4, "little"))
+                pickle.dump(i, orders[reply])
             except BrokenPipeError:
                 raise RuntimeError("a fit worker died") from None
             pending[reply] = i
@@ -155,14 +147,15 @@ def _fit_all(jobs, parallel):
         for cpu in cpus:
             order_r, order_w = os.pipe()
             reply_r, reply_w = os.pipe()
-            orders[reply_r] = order_w
             try:
+                orders[open(reply_r, "rb")] = open(order_w, "wb", buffering=0)
                 pid = os.fork()
                 if pid == 0:  # the worker, which never leaves this block
-                    try:  # it keeps only its own ends of its own pipes
-                        for fd in (*orders, *orders.values()):
-                            os.close(fd)
-                        _serve(jobs, cpu, parent, order_r, reply_w)
+                    try:  # it keeps only its own ends of its own pipes; it
+                        # closes the parent's by fd and leaves their objects
+                        for f in (*orders, *orders.values()):
+                            os.close(f.fileno())
+                        _serve(jobs, cpu, parent, open(order_r, "rb"), open(reply_w, "wb"))
                     finally:  # no exit status is read: the pipes tell
                         os._exit(0)
                 pids.append(pid)
@@ -173,12 +166,10 @@ def _fit_all(jobs, parallel):
             hand_out(reply)
         while pending:
             for reply in select.select(list(pending), [], [])[0]:
-                body = _recv(reply, 8)  # the length, then the pickle
-                if body is not None:
-                    body = _recv(reply, int.from_bytes(body, "little"))
-                if body is None:
-                    raise RuntimeError(f"a fit worker died in fit {pending[reply]}")
-                i, ok, value = pickle.loads(body)
+                try:
+                    i, ok, value = pickle.load(reply)
+                except (EOFError, pickle.UnpicklingError):  # it ended, maybe mid-reply
+                    raise RuntimeError(f"a fit worker died in fit {pending[reply]}") from None
                 del pending[reply]
                 if ok:
                     fits[i] = value
@@ -190,8 +181,8 @@ def _fit_all(jobs, parallel):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fd in (*orders, *orders.values()):
-            os.close(fd)
+        for f in (*orders, *orders.values()):
+            f.close()
         for pid in pids:
             os.waitpid(pid, 0)
     if failed:

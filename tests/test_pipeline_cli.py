@@ -194,6 +194,23 @@ def test_quantize_matrix_same_serial_and_parallel(two_cpus, fit_pids, child_pids
     assert not child_pids()
 
 
+def test_parallel_replies_larger_than_a_pipe_buffer(two_cpus, fit_pids, child_pids):
+    # each reply holds a group's 1024 x 128 int8 codes, 128 KiB, twice a
+    # pipe's 64 KiB buffer: a worker's write blocks until the parent reads
+    w, x = synthetic.make_layer(7, n_groups=3, group_cols=128, rows=1024, calib_T=16)
+    cfg = pipeline.RunConfig(dim=8, bits=2.0, group_width=128, bit_alloc=False,
+                             max_iters=3)
+    serial = pipeline.quantize_matrix(w, x, cfg)
+    forked = pipeline.quantize_matrix(w, x, cfg, parallel=True)
+    in_workers = fit_pids()[3:]
+    assert len(in_workers) == 3 and os.getpid() not in in_workers
+    assert all(codes.nbytes == 1024 * 128 for _, codes in forked.records)
+    assert forked.archive_bytes() == serial.archive_bytes()
+    assert forked.bits.tolist() == serial.bits.tolist()
+    assert forked.reports == serial.reports
+    assert not child_pids()
+
+
 @pytest.mark.parametrize("cpus", [{0}, None])  # one CPU; no affinity call
 def test_parallel_fits_in_this_process_without_a_second_cpu(cpus, monkeypatch,
                                                             fit_pids, child_pids):
@@ -281,16 +298,17 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("dies", ["in_a_fit", "after_a_reply"])
+@pytest.mark.parametrize("dies", ["in_a_fit", "mid_reply", "after_a_reply"])
 def test_killed_worker_fails_the_run(dies, tmp_path, monkeypatch, two_cpus, child_pids):
     # a worker killed, as by the OOM killer, under a fit (its reply pipe
-    # ends) or after a reply (its order pipe breaks): quantize_matrix
-    # raises RuntimeError and glvq quantize exits 4 and writes nothing,
-    # with no worker left behind and no wait for a reply that cannot come
+    # ends), part way through a reply (the pickle is cut short) or after a
+    # reply (its order pipe breaks): quantize_matrix raises RuntimeError
+    # and glvq quantize exits 4 and writes nothing, with no worker left
+    # behind and no wait for a reply that cannot come
     w = synthetic.make_layer(5, n_groups=6, group_cols=4, rows=8, calib_T=8)[0]
     w = w.astype(np.float32).astype(float)  # as the CLI reads it back
     x = np.random.default_rng(5).standard_normal((24, 8))
-    fit, send, serve = pipeline._fit, pipeline._send, pipeline._serve
+    fit, serve = pipeline._fit, pipeline._serve
     tester = os.getpid()
 
     def killed_in_the_third_fit(job):
@@ -298,19 +316,34 @@ def test_killed_worker_fails_the_run(dies, tmp_path, monkeypatch, two_cpus, chil
             os.kill(os.getpid(), signal.SIGKILL)
         return fit(job)
 
-    def killed_after_a_reply(jobs, cpu, parent, orders, replies):
-        def reply_and_die(fd, data):
-            os.close(orders)  # first, so the parent's next order finds no reader
-            send(fd, data)
+    def killed_mid_reply(jobs, cpu, parent, orders, replies):
+        write = replies.write
+
+        def write_half_and_die(data):
+            data = bytes(data)
+            write(data[:len(data) // 2])
+            replies.flush()
             os.kill(os.getpid(), signal.SIGKILL)
 
-        pipeline._send = reply_and_die  # in this worker only
+        replies.write = write_half_and_die  # pickle.dump writes through it
+        serve(jobs, cpu, parent, orders, replies)
+
+    def killed_after_a_reply(jobs, cpu, parent, orders, replies):
+        flush = replies.flush
+
+        def reply_and_die():
+            os.close(orders.fileno())  # first, so the parent's next order finds no reader
+            flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        replies.flush = reply_and_die
         serve(jobs, cpu, parent, orders, replies)
 
     if dies == "in_a_fit":
         monkeypatch.setattr(pipeline, "_fit", killed_in_the_third_fit)
     else:
-        monkeypatch.setattr(pipeline, "_serve", killed_after_a_reply)
+        monkeypatch.setattr(pipeline, "_serve", {"mid_reply": killed_mid_reply,
+                                                 "after_a_reply": killed_after_a_reply}[dies])
     cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=4, bit_alloc=False,
                              max_iters=5)
     with _deadline(60):
@@ -344,13 +377,15 @@ def recording_fit(job):  # one append per fit, from the process that fits
 
 pipeline._fit = recording_fit
 code = cli.main(sys.argv[2:])
-print(code, os.getpid(), *sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+print(code, os.getpid(),
+      *sorted({"multiprocessing", "concurrent.futures", "socket"} & set(sys.modules)))
 """
 
 
 def test_cli_parallel_quantize_loads_no_multiprocessing(tmp_path):
     # the fits fork their workers directly: importing multiprocessing and
-    # concurrent.futures cost a quantize about 15 ms before its first fit
+    # concurrent.futures cost a quantize about 15 ms before its first fit;
+    # the workers' pipes need no socket either (3.9 ms of imports)
     w, x = synthetic.make_layer(6, n_groups=4, group_cols=32, calib_T=24)
     pids = tmp_path / "fit_pids"
     argv = [sys.executable, "-c", _QUANTIZE_ON_TWO_CPUS, pids, "quantize",
