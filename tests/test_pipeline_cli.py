@@ -342,8 +342,8 @@ def test_killed_worker_fails_the_run(dies, tmp_path, monkeypatch, two_cpus, chil
     if dies == "in_a_fit":
         monkeypatch.setattr(pipeline, "_fit", killed_in_the_third_fit)
     else:
-        monkeypatch.setattr(pipeline, "_serve", {"mid_reply": killed_mid_reply,
-                                                 "after_a_reply": killed_after_a_reply}[dies])
+        monkeypatch.setattr(pipeline, "_serve", killed_mid_reply if dies == "mid_reply"
+                            else killed_after_a_reply)
     cfg = pipeline.RunConfig(dim=4, bits=2.0, group_width=4, bit_alloc=False,
                              max_iters=5)
     with _deadline(60):
